@@ -129,6 +129,10 @@ metric_enum! {
         MedianIterations => "median.iterations",
         /// Median solves seeded from a warm center.
         MedianWarmStarts => "median.warm_starts",
+        /// Median solves finished by a closed form (single point,
+        /// collinear set, Fermat point, diagonal crossing) or an anchor
+        /// certificate (`MedianTelemetry::exact`).
+        MedianExactSolves => "median.exact_solves",
         /// Streaming sessions started or resumed.
         StreamSessions => "stream.sessions",
         /// Steps fed through streaming simulators (64-step granularity).

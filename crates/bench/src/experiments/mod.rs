@@ -1,5 +1,5 @@
 //! The experiment suite: one module per theorem/lemma/ablation, indexed in
-//! `DESIGN.md` §3.
+//! `ARCHITECTURE.md` ("The experiment index").
 
 pub mod a1;
 pub mod a2;

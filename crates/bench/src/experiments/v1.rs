@@ -1,5 +1,5 @@
 //! V1 — Offline-solver validation and accuracy/cost ablation
-//! (DESIGN.md decision 2).
+//! (`v1` in the `ARCHITECTURE.md` experiment index).
 //!
 //! Every planar ratio in the suite trusts the convex solver's OPT
 //! estimate. This experiment quantifies that trust: on 1-D instances

@@ -6,7 +6,7 @@
 //! statements; every experiment here regenerates one theorem's *shape*
 //! (growth in `T`, scaling in `δ`, `r/D`, `R_max/R_min`, `ε`) or checks a
 //! lemma's geometry numerically. The per-experiment index lives in
-//! `DESIGN.md`; `EXPERIMENTS.md` records paper-vs-measured for every run.
+//! `ARCHITECTURE.md`; `EXPERIMENTS.md` records paper-vs-measured for every run.
 //!
 //! All experiments are pure functions from a [`Scale`] to an
 //! [`report::ExperimentReport`]; the `experiments` binary prints them as

@@ -5,7 +5,7 @@ use msp_analysis::{Json, Table};
 /// The rendered outcome of one experiment.
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
-    /// Short id (`e1` … `a3`), matching the DESIGN.md index.
+    /// Short id (`e1` … `a3`), matching the ARCHITECTURE.md experiment index.
     pub id: &'static str,
     /// Human-readable title.
     pub title: String,

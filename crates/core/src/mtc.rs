@@ -106,6 +106,9 @@ pub fn median_telemetry_view(snapshot: &obs::MetricsSnapshot) -> MedianTelemetry
         warm_starts: snapshot
             .counter(obs::Counter::MedianWarmStarts.name())
             .unwrap_or(0),
+        exact: snapshot
+            .counter(obs::Counter::MedianExactSolves.name())
+            .unwrap_or(0),
         last_iterations: 0,
     }
 }
@@ -167,6 +170,7 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
                         obs::Counter::MedianWarmStarts,
                         t.warm_starts - before.warm_starts,
                     );
+                    obs::add(obs::Counter::MedianExactSolves, t.exact - before.exact);
                 }
                 c
             }
@@ -343,12 +347,15 @@ mod tests {
         // hint from A must let lane B solve from A's center — engaging the
         // warm-start counter and converging in a handful of iterations —
         // while deciding the same point A did (same position, same δ).
+        // Five requests: three or four have a closed form and never warm
+        // start (checked at the end).
         let ctx = ctx2(4.0, 0.5, 0.2);
         let reqs = [
             P2::xy(1.0, 0.4),
             P2::xy(0.5, -0.7),
             P2::xy(1.5, 0.9),
             P2::xy(0.2, 0.3),
+            P2::xy(1.9, -0.2),
         ];
         let mut lane_a = MoveToCenter::<2>::new();
         lane_a.reset(&ctx);
@@ -374,6 +381,17 @@ mod tests {
         lane_c.warm_hint(&fresh);
         let _ = lane_c.decide(&P2::origin(), &reqs, &ctx);
         assert_eq!(lane_c.median_telemetry().warm_starts, 0);
+        // Four requests: the hint is ignored — no iterations, no warm
+        // start — and both lanes still decide alike.
+        let mut lane_d = MoveToCenter::<2>::new();
+        lane_d.reset(&ctx);
+        lane_d.warm_hint(&lane_a);
+        let decision_d = lane_d.decide(&P2::origin(), &reqs[..4], &ctx);
+        let mut lane_e = MoveToCenter::<2>::new();
+        lane_e.reset(&ctx);
+        assert_eq!(decision_d, lane_e.decide(&P2::origin(), &reqs[..4], &ctx));
+        let t = lane_d.median_telemetry();
+        assert_eq!((t.warm_starts, t.last_iterations, t.exact), (0, 0, 1));
     }
 
     #[test]
@@ -395,6 +413,9 @@ mod tests {
             "registry view must absorb this solver's activity: {before:?} -> {after:?}"
         );
         assert!(after.iterations >= before.iterations + local.iterations);
+        // Three requests: the solve is exact (a Fermat point).
+        assert_eq!(local.exact, 1);
+        assert!(after.exact >= before.exact + local.exact);
         assert_eq!(after.last_iterations, 0, "inherently per-solver");
     }
 
@@ -410,23 +431,29 @@ mod tests {
     fn warm_solver_threads_through_decisions() {
         // A long decision sequence on drifting requests: the internal
         // solver must record warm starts and stay in lockstep with the
-        // stateless center computation.
+        // stateless center computation. Five requests per step: three or
+        // four have a closed form and never warm start (checked below).
         let mut mtc = MoveToCenter::<2>::new();
         let ctx = ctx2(4.0, 0.5, 0.2);
         mtc.reset(&ctx);
-        let mut pos = P2::origin();
-        for t in 0..100 {
+        let drifting = |t: usize| {
             let s = 0.05 * t as f64;
-            let reqs = [
+            [
                 P2::xy(1.0 + s, 0.4),
                 P2::xy(0.5 + s, -0.7),
                 P2::xy(1.5 + s, 0.9),
-            ];
+                P2::xy(0.2 + s, 1.3),
+                P2::xy(2.1 + s, -0.1),
+            ]
+        };
+        let mut pos = P2::origin();
+        for t in 0..100 {
+            let reqs = drifting(t);
             let cold_center = mtc.center_of(&reqs, &pos);
             let next = mtc.decide(&pos, &reqs, &ctx);
             // The decision must head towards (within 1e-9 of) the cold
             // center — warm starting is numerics, not policy.
-            let pull = (3.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
+            let pull = (5.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
             let expect = step_towards(&pos, &cold_center, pull.min(ctx.online_budget()));
             assert!(next.distance(&expect) < 1e-9, "step {t}");
             pos = next;
@@ -437,11 +464,24 @@ mod tests {
         // Reset clears the warm state: the next solve is cold again.
         mtc.reset(&ctx);
         let before = mtc.median_telemetry().warm_starts;
-        let _ = mtc.decide(
-            &P2::origin(),
-            &[P2::xy(1.0, 0.2), P2::xy(0.0, 1.1), P2::xy(-1.0, 0.3)],
-            &ctx,
-        );
+        let _ = mtc.decide(&P2::origin(), &drifting(0), &ctx);
         assert_eq!(mtc.median_telemetry().warm_starts, before);
+        // Three requests per step: every decision is exact and never warm
+        // starts, still in lockstep with the stateless center.
+        let mut pos = P2::origin();
+        let before = mtc.median_telemetry();
+        for t in 0..100 {
+            let reqs = &drifting(t)[..3];
+            let cold_center = mtc.center_of(reqs, &pos);
+            let next = mtc.decide(&pos, reqs, &ctx);
+            let pull = (3.0f64 / ctx.d).min(1.0) * pos.distance(&cold_center);
+            let expect = step_towards(&pos, &cold_center, pull.min(ctx.online_budget()));
+            assert_eq!(next, expect, "step {t}: the closed form is start-free");
+            pos = next;
+        }
+        let after = mtc.median_telemetry();
+        assert_eq!(after.warm_starts, before.warm_starts);
+        assert_eq!(after.iterations, before.iterations);
+        assert_eq!(after.exact, before.exact + 100);
     }
 }

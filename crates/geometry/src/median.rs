@@ -17,6 +17,22 @@
 //! (quadratic near the smooth optimum), and a short Weiszfeld verification
 //! pass re-checks the fixed-point residual at the requested tolerance.
 //!
+//! **Exact path:** before any iteration, [`weighted_center_weighted`] and
+//! [`MedianSolver`] try a closed form. The optimum sits on a request
+//! point `x_i` exactly when the Vardi–Zhang subgradient certificate
+//! `‖Σ_{x_j ≠ x_i} w_j·(x_i − x_j)/d_ij‖ ≤ W_i` holds, with `W_i` the
+//! weight coinciding with `x_i`; for up to four points every anchor is
+//! tested, and the certified one is returned bit-exactly. Otherwise, with
+//! equal weights, three points have their Fermat point (barycentric
+//! coordinates `∝ 1/(4K + √3(b² + c² − a²))`, with `K` the area and
+//! `a, b, c` the sides, in any dimension) and four planar points their
+//! diagonal crossing (`f ≥ |AC| + |BD|` everywhere, with equality there).
+//! Everything else — unequal weights, five or more points, four points
+//! off the plane — takes the iterative path below, which certifies the
+//! anchor nearest its coarse iterate in O(n) before Newton runs, so anchor
+//! optima of any size skip the tight-tolerance crawl.
+//! [`weighted_center_classic`] is the oracle for both paths.
+//!
 //! **Hot path:** simulations solve a median per step on request sets that
 //! drift slowly, so consecutive optima are close. [`MedianSolver`] keeps
 //! the previous center as a warm-start iterate plus reusable scratch
@@ -270,13 +286,14 @@ fn weiszfeld_until<const N: usize>(
     (iters, false)
 }
 
-/// Weighted subgradient optimality residual at `y` (0 at a certified
-/// optimum): `max(0, ‖Σ_{x_i ≠ y} w_i·(y − x_i)/d_i‖ − Σ_{x_i = y} w_i)`.
-fn weighted_optimality_gap<const N: usize>(
+/// The two sides of the subgradient condition at `y`: the pull
+/// `‖Σ_{x_i ≠ y} w_i·(y − x_i)/d_i‖` of the points away from `y`, and the
+/// weight `Σ_{x_i = y} w_i` sitting on `y` (points within `1e-12`).
+fn subgradient_parts<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     y: &Point<N>,
-) -> f64 {
+) -> (f64, f64) {
     let mut grad = Point::<N>::origin();
     let mut coincident = 0.0;
     for (p, w) in points.iter().zip(weights) {
@@ -287,7 +304,118 @@ fn weighted_optimality_gap<const N: usize>(
             grad += (*y - *p) * (*w / d);
         }
     }
-    (grad.norm() - coincident).max(0.0)
+    (grad.norm(), coincident)
+}
+
+/// Weighted subgradient optimality residual at `y` (0 at a certified
+/// optimum): `max(0, ‖Σ_{x_i ≠ y} w_i·(y − x_i)/d_i‖ − Σ_{x_i = y} w_i)`.
+fn weighted_optimality_gap<const N: usize>(
+    points: &[Point<N>],
+    weights: &[f64],
+    y: &Point<N>,
+) -> f64 {
+    let (pull, coincident) = subgradient_parts(points, weights, y);
+    (pull - coincident).max(0.0)
+}
+
+/// Vardi–Zhang anchor certificate: `anchor` minimizes the objective iff
+/// the pull of the other points does not exceed the weight on it. A NaN
+/// pull never certifies.
+fn anchor_is_optimal<const N: usize>(
+    points: &[Point<N>],
+    weights: &[f64],
+    anchor: &Point<N>,
+) -> bool {
+    let (pull, coincident) = subgradient_parts(points, weights, anchor);
+    pull <= coincident
+}
+
+/// Moves `y` onto the bits of its nearest anchor when that anchor carries
+/// the optimality certificate; `false` (and `y` untouched) otherwise. A
+/// Vardi–Zhang certificate stops within 1e-14 of its anchor, so this also
+/// snaps those onto the anchor exactly.
+fn certify_nearest_anchor<const N: usize>(
+    points: &[Point<N>],
+    weights: &[f64],
+    y: &mut Point<N>,
+) -> bool {
+    let Some((idx, _)) = soa::nearest_index_points(points, y) else {
+        return false;
+    };
+    let certified = anchor_is_optimal(points, weights, &points[idx]);
+    if certified {
+        *y = points[idx];
+    }
+    certified
+}
+
+/// Closed-form center of a non-collinear set, or `None` when the set needs
+/// the iterative path. Up to four points: the certified anchor, if any
+/// (first in index order). Otherwise, with equal weights: the Fermat point
+/// of three points, or the diagonal crossing of four planar points.
+fn exact_center<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Option<Point<N>> {
+    if points.len() > 4 {
+        return None;
+    }
+    if let Some(anchor) = points
+        .iter()
+        .find(|p| anchor_is_optimal(points, weights, p))
+    {
+        return Some(*anchor);
+    }
+    if weights.iter().any(|w| *w != weights[0]) {
+        return None;
+    }
+    match points {
+        [a, b, c] => fermat_point([*a, *b, *c]),
+        [_, _, _, _] if N == 2 => diagonal_crossing(points),
+        _ => None,
+    }
+}
+
+/// Fermat point of a triangle whose angles are all below 120° (in any
+/// dimension): the barycentric weight of vertex `i` is
+/// `1/(2K + √3·(x_j − x_i)·(x_k − x_i))`, i.e. `∝ 1/(4K + √3(b² + c² − a²))`.
+/// `None` when a weight is not positive (an angle ≥ 120°, where the
+/// vertex is the answer and the certificate should have fired).
+fn fermat_point<const N: usize>(v: [Point<N>; 3]) -> Option<Point<N>> {
+    let edge = |i: usize, j: usize| v[j] - v[i];
+    let dots: [f64; 3] = std::array::from_fn(|i| edge(i, (i + 1) % 3).dot(&edge(i, (i + 2) % 3)));
+    // Twice the area, from the Gram determinant at the widest angle
+    // (opposite the longest side), where the cancellation is mildest.
+    let sq: [f64; 3] = std::array::from_fn(|i| edge((i + 1) % 3, (i + 2) % 3).norm_sq());
+    let wide = (0..3)
+        .max_by(|&i, &j| sq[i].total_cmp(&sq[j]))
+        .expect("three vertices");
+    let adj = sq[(wide + 1) % 3] * sq[(wide + 2) % 3];
+    let twice_area = (adj - dots[wide] * dots[wide]).max(0.0).sqrt();
+    let lambda: [f64; 3] = std::array::from_fn(|i| 1.0 / (twice_area + 3f64.sqrt() * dots[i]));
+    if lambda.iter().any(|l| !(*l > 0.0 && l.is_finite())) {
+        return None;
+    }
+    let total = lambda[0] + lambda[1] + lambda[2];
+    Some(v[0] + (edge(0, 1) * lambda[1] + edge(0, 2) * lambda[2]) / total)
+}
+
+/// Crossing point of the diagonals of a convex planar quadrilateral — the
+/// center of four equally weighted points in convex position, since
+/// `f(x) ≥ |x − A| + |x − C| + |x − B| + |x − D| ≥ |AC| + |BD|` with
+/// equality exactly there. The diagonals are the pairing with the largest
+/// total length; `None` when its segments do not cross (one point inside
+/// the triangle of the others, which the anchor certificate handles).
+fn diagonal_crossing<const N: usize>(p: &[Point<N>]) -> Option<Point<N>> {
+    let length =
+        |(i, j, k, l): (usize, usize, usize, usize)| p[i].distance(&p[j]) + p[k].distance(&p[l]);
+    let (i, j, k, l) = [(0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)]
+        .into_iter()
+        .max_by(|a, b| length(*a).total_cmp(&length(*b)))
+        .expect("three pairings");
+    let cross = |u: Point<N>, v: Point<N>| u[0] * v[1] - u[1] * v[0];
+    let (r, q, w) = (p[j] - p[i], p[l] - p[k], p[k] - p[i]);
+    let denom = cross(r, q);
+    let s = cross(w, q) / denom;
+    let t = cross(w, r) / denom;
+    ((0.0..=1.0).contains(&s) && (0.0..=1.0).contains(&t)).then(|| p[i] + r * s)
 }
 
 /// Fast coarse-Weiszfeld → Newton pass from the starting iterate.
@@ -306,7 +434,9 @@ fn coarse_then_newton<const N: usize>(
     let coarse_tol = opts.tol.max(COARSE_REL_TOL * spread);
     let coarse_cap = opts.max_iters.min(COARSE_CAP);
     let (it1, certified) = weiszfeld_until(points, weights, y, coarse_tol, coarse_cap);
-    if certified {
+    // An anchor optimum: certify the nearest anchor now, in O(n), instead
+    // of letting Newton stall beside it and the caller crawl to 1e-13.
+    if certify_nearest_anchor(points, weights, y) || certified {
         return (it1, true);
     }
     // Newton finishes the job quadratically where Weiszfeld crawls
@@ -352,14 +482,15 @@ fn snap_to_near_anchor<const N: usize>(
 /// iterate is optimal, and Newton's curvature blows up there too. The
 /// residual check catches exactly this: on a stall the solve restarts from
 /// the lowest-objective anchors, where the Vardi–Zhang step either
-/// certifies optimality or escapes decisively. Returns the center and the
-/// total Weiszfeld iterations spent (the telemetry currency).
+/// certifies optimality or escapes decisively. Returns the center, the
+/// total Weiszfeld iterations spent (the telemetry currency), and whether
+/// an anchor certificate finished the solve.
 fn solve_from<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     start: Point<N>,
     opts: MedianOptions,
-) -> (Point<N>, usize) {
+) -> (Point<N>, usize, bool) {
     let total_weight: f64 = weights.iter().sum();
     // Spread scale of the configuration (mean anchor distance from the
     // weighted centroid): start-independent, so warm and cold starts face
@@ -378,10 +509,11 @@ fn solve_from<const N: usize>(
         let (iters, certified) = coarse_then_newton(points, weights, &mut y, opts, spread);
         iters_total += iters;
         if certified {
-            return (y, iters_total);
+            return (y, iters_total, true);
         }
         if weighted_optimality_gap(points, weights, &y) <= gap_tol {
-            return (snap_to_near_anchor(points, weights, y, spread), iters_total);
+            let c = snap_to_near_anchor(points, weights, y, spread);
+            return (c, iters_total, false);
         }
 
         // The fast pass stalled (flat valley or a grazed anchor). Fall back
@@ -390,8 +522,8 @@ fn solve_from<const N: usize>(
         // than the reference iteration.
         let (it2, certified) = weiszfeld_until(points, weights, &mut y, opts.tol, opts.max_iters);
         iters_total += it2;
-        if certified {
-            return (y, iters_total);
+        if certify_nearest_anchor(points, weights, &mut y) || certified {
+            return (y, iters_total, true);
         }
         let ranked = ranked.get_or_insert_with(|| {
             let mut r: Vec<(f64, usize)> = points
@@ -414,7 +546,7 @@ fn solve_from<const N: usize>(
         }
         if weighted_optimality_gap(points, weights, &best_here) <= gap_tol.max(1e-8 * total_weight)
         {
-            return (best_here, iters_total);
+            return (best_here, iters_total, false);
         }
         if best.is_none_or(|(b, _)| best_obj < b) {
             best = Some((best_obj, best_here));
@@ -427,7 +559,8 @@ fn solve_from<const N: usize>(
         };
         next_start = points[idx];
     }
-    (best.expect("at least one pipeline pass ran").1, iters_total)
+    let center = best.expect("at least one pipeline pass ran").1;
+    (center, iters_total, false)
 }
 
 /// The seed's reference solver — plain 128-iteration Weiszfeld from the
@@ -486,7 +619,8 @@ fn weighted_centroid<const N: usize>(points: &[Point<N>], weights: &[f64]) -> Po
 /// For collinear inputs the problem reduces to the exact 1-D weighted
 /// median (computed directly — no iteration), with the non-unique case
 /// resolved by clamping the projection of `reference` onto the minimizing
-/// segment, implementing the paper's "closest center" tie-break.
+/// segment, implementing the paper's "closest center" tie-break. Small
+/// sets with a closed form (see the module docs) skip the iteration too.
 ///
 /// # Panics
 /// Panics on an empty point set or mismatched weight length.
@@ -511,6 +645,9 @@ pub fn weighted_center_weighted<const N: usize>(
     }
 
     // General position: unique minimizer.
+    if let Some(c) = exact_center(points, weights) {
+        return c;
+    }
     solve_from(points, weights, weighted_centroid(points, weights), opts).0
 }
 
@@ -714,6 +851,9 @@ pub struct MedianTelemetry {
     pub iterations: u64,
     /// Solves that started from a previous center instead of the centroid.
     pub warm_starts: u64,
+    /// Solves finished by a closed form (a single point, a collinear set,
+    /// a Fermat point or a diagonal crossing) or an anchor certificate.
+    pub exact: u64,
     /// Weiszfeld iterations of the most recent solve.
     pub last_iterations: usize,
 }
@@ -742,7 +882,9 @@ impl MedianTelemetry {
 /// Results match the cold [`weighted_center`] path to well within `1e-9`
 /// (both phases finish with the same Newton polish, verification sweep and
 /// input-point snap); they are *not* guaranteed bit-identical, because the
-/// starting iterate differs.
+/// starting iterate differs. Closed-form solves (see the module docs)
+/// ignore the warm iterate, take no iterations, are not counted as warm
+/// starts, and are bit-identical to the cold path.
 #[derive(Clone, Debug)]
 pub struct MedianSolver<const N: usize> {
     opts: MedianOptions,
@@ -837,6 +979,7 @@ impl<const N: usize> MedianSolver<N> {
         self.telemetry.solves += 1;
 
         if points.len() == 1 {
+            self.telemetry.exact += 1;
             self.telemetry.last_iterations = 0;
             self.warm = Some(points[0]);
             *out = points[0];
@@ -845,6 +988,7 @@ impl<const N: usize> MedianSolver<N> {
 
         // Collinear: exact, iteration-free — nothing to warm-start.
         if let Some((base, u)) = collinear(points, 1e-12) {
+            self.telemetry.exact += 1;
             self.telemetry.last_iterations = 0;
             let c = collinear_center_with(
                 points,
@@ -860,6 +1004,15 @@ impl<const N: usize> MedianSolver<N> {
             return;
         }
 
+        // Closed form: exact and start-independent — nothing to warm-start.
+        if let Some(c) = exact_center(points, weights) {
+            self.telemetry.exact += 1;
+            self.telemetry.last_iterations = 0;
+            self.warm = Some(c);
+            *out = c;
+            return;
+        }
+
         let start = match self.warm {
             Some(prev) if prev.is_finite() => {
                 self.telemetry.warm_starts += 1;
@@ -867,7 +1020,8 @@ impl<const N: usize> MedianSolver<N> {
             }
             _ => weighted_centroid(points, weights),
         };
-        let (c, iters) = solve_from(points, weights, start, self.opts);
+        let (c, iters, exact) = solve_from(points, weights, start, self.opts);
+        self.telemetry.exact += u64::from(exact);
         self.telemetry.iterations += iters as u64;
         self.telemetry.last_iterations = iters;
         self.warm = Some(c);
@@ -1092,6 +1246,8 @@ mod tests {
         let pts = [P2::xy(0.0, 0.0), P2::xy(1.0, 0.0)];
         let c = solver.center(&pts, &P2::xy(0.25, 5.0));
         assert!(c.distance(&P2::xy(0.25, 0.0)) < 1e-12);
+        // Both are closed forms.
+        assert_eq!(solver.telemetry.exact, 2);
         // Warm state survives and reset clears it.
         assert!(solver.warm_state().is_some());
         solver.reset();
@@ -1100,20 +1256,36 @@ mod tests {
 
     #[test]
     fn solver_seeding_controls_warm_start() {
+        // Five points: three or four have a closed form and never reach
+        // the warm iterative path (checked below).
         let pts = [
             P2::xy(0.0, 0.0),
             P2::xy(2.0, 0.1),
             P2::xy(1.0, 1.7),
             P2::xy(0.9, -1.2),
+            P2::xy(-0.8, 0.9),
         ];
         let cold = weighted_center(&pts, &P2::origin(), MedianOptions::default());
         let mut solver = MedianSolver::<2>::new(MedianOptions::default());
         solver.seed(cold);
         let warm = solver.center(&pts, &P2::origin());
         assert!(warm.distance(&cold) < 1e-9);
+        assert!(median_optimality_gap(&pts, &warm) < 1e-9);
         assert_eq!(solver.telemetry.warm_starts, 1);
         // Seeded from the exact optimum, the coarse phase exits immediately.
         assert!(solver.telemetry.last_iterations <= 4);
+        // Four points: the seed is ignored — no iterations, no warm start.
+        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        solver.seed(cold);
+        let exact = solver.center(&pts[..4], &P2::origin());
+        assert_eq!(
+            exact,
+            weighted_center(&pts[..4], &P2::origin(), MedianOptions::default())
+        );
+        assert!(median_optimality_gap(&pts[..4], &exact) < 1e-9);
+        assert_eq!(solver.telemetry.warm_starts, 0);
+        assert_eq!(solver.telemetry.last_iterations, 0);
+        assert_eq!(solver.telemetry.exact, 1);
     }
 
     #[test]

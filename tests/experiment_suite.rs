@@ -49,7 +49,7 @@ fn experiment_ids_are_unique_and_stable() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "duplicate experiment ids");
-    // The DESIGN.md index promises exactly these experiments.
+    // The ARCHITECTURE.md experiment index promises exactly these experiments.
     for expected in [
         "e1", "e2", "e3", "e4a", "e4b", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
         "a1", "a2", "a3", "a4", "v1",
