@@ -340,6 +340,18 @@ pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
+#[cfg(test)]
+static ENABLE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// [`enable`] for unit tests, serialized against
+/// `disabled_probes_do_not_collect`: the flag is process-global, and that
+/// test must not see it flip between its check and its probes.
+#[cfg(test)]
+pub(crate) fn enable_in_test() {
+    let _guard = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    enable();
+}
+
 /// Turns collection off. Already-recorded values remain readable via
 /// [`snapshot`].
 pub fn disable() {
@@ -621,6 +633,7 @@ mod tests {
 
     #[test]
     fn disabled_probes_do_not_collect() {
+        let _guard = ENABLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         if enabled() {
             // Another test enabled collection first; skip rather than
             // fight over the global flag.
@@ -643,7 +656,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_across_threads_and_shards() {
-        enable();
+        enable_in_test();
         let before = snapshot().counter("stream.steps").unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -660,7 +673,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_tracks_count_sum_max_and_quantiles() {
-        enable();
+        enable_in_test();
         let before = snapshot().hist("probe.ratio_permille").cloned().unwrap();
         for v in [0u64, 1, 2, 3, 1000, 1500, 4000] {
             record(Hist::ProbeRatioPermille, v);
@@ -675,7 +688,7 @@ mod tests {
 
     #[test]
     fn gauge_keeps_the_high_water_mark() {
-        enable();
+        enable_in_test();
         gauge_max(Gauge::ExecutorQueueDepthHwm, 3);
         gauge_max(Gauge::ExecutorQueueDepthHwm, 11);
         gauge_max(Gauge::ExecutorQueueDepthHwm, 5);
@@ -684,7 +697,7 @@ mod tests {
 
     #[test]
     fn span_timer_records_once_on_drop() {
-        enable();
+        enable_in_test();
         let before = snapshot().hist("executor.dispatch_ns").unwrap().count;
         timer(Hist::ExecutorDispatchNs).stop();
         {
@@ -715,7 +728,7 @@ mod tests {
 
     #[test]
     fn dominates_accepts_growth_and_rejects_regression() {
-        enable();
+        enable_in_test();
         let early = snapshot();
         add(Counter::JournalAppends, 2);
         let late = snapshot();

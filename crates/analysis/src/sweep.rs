@@ -1004,7 +1004,7 @@ mod tests {
     fn pool_stats_reflect_a_fan() {
         // Sibling tests share the process-global registry, so compare
         // before/after deltas (concurrent fans only push counters up).
-        obs::enable();
+        obs::enable_in_test();
         let before = pool_stats();
         let items: Vec<usize> = (0..128).collect();
         let out = parallel_map_indexed(&items, 0, |i, x| i + x);

@@ -372,7 +372,13 @@ fn median_comparison(n: usize, name: &'static str, sh: &Shapes) -> Comparison {
     }
 }
 
-fn sweep_instance(sh: &Shapes) -> Instance<2> {
+/// Requests per step of the instance behind the seeding pairs
+/// (`multi_delta_sweep*`, `streaming_batch_sweep`). Sets of up to four
+/// points solve in closed form and never warm-start, so these pairs use
+/// five requests to keep measuring cross-lane seeding.
+const SEEDED_SWEEP_REQUESTS: usize = 5;
+
+fn sweep_instance(sh: &Shapes, requests: usize) -> Instance<2> {
     let gen = DriftingHotspot::new(DriftingHotspotConfig::<2> {
         horizon: sh.sweep_horizon,
         d: 4.0,
@@ -381,7 +387,7 @@ fn sweep_instance(sh: &Shapes) -> Instance<2> {
         momentum: 0.8,
         spread: 0.5,
         arena_half_width: 100.0,
-        count: RequestCount::Fixed(4),
+        count: RequestCount::Fixed(requests),
     });
     gen.generate(3)
 }
@@ -407,7 +413,7 @@ fn batch_comparison(
     name: &'static str,
     variant: &str,
 ) -> Comparison {
-    let inst = sweep_instance(sh);
+    let inst = sweep_instance(sh, SEEDED_SWEEP_REQUESTS);
     let baseline_ns = time_ns(7.min(sh.reps), || {
         let mut total = 0.0;
         for &delta in &SWEEP_DELTAS {
@@ -435,14 +441,14 @@ fn batch_comparison(
         baseline_ns,
         fast_ns,
         detail: format!(
-            "5 δ × 2 orders on a T={} drifting hotspot; repeated run() vs one run_batch() pass ({variant})",
+            "5 δ × 2 orders on a T={} drifting hotspot, {SEEDED_SWEEP_REQUESTS} requests/step; repeated run() vs one run_batch() pass ({variant})",
             sh.sweep_horizon
         ),
     }
 }
 
 fn streaming_batch_comparison(sh: &Shapes) -> Comparison {
-    let inst = sweep_instance(sh);
+    let inst = sweep_instance(sh, SEEDED_SWEEP_REQUESTS);
     let params = inst.params();
     let baseline_ns = time_ns(7.min(sh.reps), || {
         let mut total = 0.0;
@@ -478,7 +484,7 @@ fn streaming_batch_comparison(sh: &Shapes) -> Comparison {
         baseline_ns,
         fast_ns,
         detail: format!(
-            "5 δ × 2 orders streamed over T={}; repeated run_streaming() vs one blocked run_streaming_batch() pass (pinned seeded lane group)",
+            "5 δ × 2 orders streamed over T={}, {SEEDED_SWEEP_REQUESTS} requests/step; repeated run_streaming() vs one blocked run_streaming_batch() pass (pinned seeded lane group)",
             sh.sweep_horizon
         ),
     }
@@ -846,7 +852,7 @@ fn warm_fan_comparison(sh: &Shapes) -> Comparison {
 /// landing un-batched in the hot path.
 fn obs_overhead_comparison(sh: &Shapes) -> Comparison {
     use msp_analysis::obs;
-    let inst = sweep_instance(sh);
+    let inst = sweep_instance(sh, 4);
     let params = inst.params();
     let pass = || {
         run_streaming(
@@ -961,7 +967,7 @@ fn session_churn_comparison(sh: &Shapes) -> Comparison {
 fn corpus_seek_vs_scan(sh: &Shapes) -> Comparison {
     use msp_scenarios::{record_to_vec, BlockTraceReader, InstanceStream, RequestStream};
 
-    let inst = sweep_instance(sh);
+    let inst = sweep_instance(sh, 4);
     let total = inst.horizon();
     let bytes = record_to_vec(
         &mut InstanceStream::new(inst),
@@ -1031,7 +1037,7 @@ fn corpus_replay_comparison(sh: &Shapes) -> Comparison {
 
     const REPLAY_DELTA: f64 = 0.5;
 
-    let inst = sweep_instance(sh);
+    let inst = sweep_instance(sh, 4);
     let total = inst.horizon();
     let mut stream = InstanceStream::new(inst);
     let v2 = record_to_vec(&mut stream, TraceFormat::ChunkedV2 { chunk: 64 }).expect("record v2");

@@ -92,7 +92,8 @@ pub trait OnlineAlgorithm<const N: usize> {
     /// never to change which point they would decide on beyond solver
     /// tolerance — so batched engines stay interchangeable with
     /// sequential runs. The default is a no-op; [`crate::mtc::MoveToCenter`]
-    /// seeds its median solver from the neighbor's last center.
+    /// hints its median solver with the neighbor's last center, which the
+    /// solver keeps when it passes the solver's own acceptance test.
     fn warm_hint(&mut self, _neighbor: &Self)
     where
         Self: Sized,

@@ -187,10 +187,10 @@ impl<const N: usize> OnlineAlgorithm<N> for MoveToCenter<N> {
         // server position (the position only breaks ties on collinear
         // sets, which are solved exactly without iteration). A neighboring
         // δ-lane that just solved the *same step* therefore holds an
-        // essentially converged starting iterate: seeding from it
+        // essentially converged starting iterate: hinting with it
         // collapses this lane's solve to a verification pass.
         if let Some(center) = neighbor.solver.warm_state() {
-            self.solver.seed(center);
+            self.solver.hint(center);
         }
     }
 }
@@ -344,9 +344,9 @@ mod tests {
     #[test]
     fn warm_hint_seeds_the_solver_from_a_neighbor() {
         // Two "lanes" on the same request set: after lane A decides, a
-        // hint from A must let lane B solve from A's center — engaging the
-        // warm-start counter and converging in a handful of iterations —
-        // while deciding the same point A did (same position, same δ).
+        // hint from A must let lane B verify A's center — engaging the
+        // warm-start counter without an iteration — and decide the same
+        // point A did (same position, same δ).
         // Five requests: three or four have a closed form and never warm
         // start (checked at the end).
         let ctx = ctx2(4.0, 0.5, 0.2);
@@ -366,14 +366,25 @@ mod tests {
         lane_b.warm_hint(&lane_a);
         let decision_b = lane_b.decide(&P2::origin(), &reqs, &ctx);
 
-        assert!(decision_b.distance(&decision_a) < 1e-9);
+        assert_eq!(decision_b, decision_a);
         let t = lane_b.median_telemetry();
         assert_eq!(t.warm_starts, 1, "hint must prime the warm start");
-        assert!(
-            t.last_iterations <= 4,
-            "seeded solve should be a verification pass, took {}",
-            t.last_iterations
+        assert_eq!(
+            t.last_iterations, 0,
+            "hinted solve should be a verification pass"
         );
+        // A hint from a lane that solved another set only seeds the solve.
+        let mut lane_f = MoveToCenter::<2>::new();
+        lane_f.reset(&ctx);
+        lane_f.warm_hint(&lane_a);
+        let shifted = reqs.map(|p| p + P2::xy(0.05, -0.03));
+        let mut lane_g = MoveToCenter::<2>::new();
+        lane_g.reset(&ctx);
+        let cold = lane_g.decide(&P2::origin(), &shifted, &ctx);
+        assert!(lane_f.decide(&P2::origin(), &shifted, &ctx).distance(&cold) < 1e-9);
+        let t = lane_f.median_telemetry();
+        assert_eq!(t.warm_starts, 1);
+        assert!(t.last_iterations > 0);
         // A hint from a never-used neighbor is a no-op.
         let mut lane_c = MoveToCenter::<2>::new();
         lane_c.reset(&ctx);

@@ -28,16 +28,21 @@
 //! `a, b, c` the sides, in any dimension) and four planar points their
 //! diagonal crossing (`f ≥ |AC| + |BD|` everywhere, with equality there).
 //! Everything else — unequal weights, five or more points, four points
-//! off the plane — takes the iterative path below, which certifies the
-//! anchor nearest its coarse iterate in O(n) before Newton runs, so anchor
-//! optima of any size skip the tight-tolerance crawl.
+//! off the plane — takes the iterative path below. When its coarse
+//! iterate stops within a few coarse tolerances of an anchor, it tests
+//! that anchor's certificate in O(n) before Newton runs, and a stalled
+//! solve tests its nearest anchor before the crawl, so anchor optima of
+//! any size skip the tight-tolerance crawl.
 //! [`weighted_center_classic`] is the oracle for both paths.
 //!
 //! **Hot path:** simulations solve a median per step on request sets that
 //! drift slowly, so consecutive optima are close. [`MedianSolver`] keeps
 //! the previous center as a warm-start iterate plus reusable scratch
 //! buffers (an allocation-free `weighted_center_into`-style API) and
-//! exposes iteration-count telemetry; the free functions below remain the
+//! exposes iteration-count telemetry. A batched run's δ-lanes solve the
+//! same request set in turn, so [`MedianSolver::hint`] hands a lane its
+//! neighbor's center, which is kept bit-for-bit when it passes the
+//! subgradient-gap acceptance test; the free functions below remain the
 //! stateless cold-start entry points.
 
 use crate::point::Point;
@@ -72,6 +77,18 @@ const COARSE_REL_TOL: f64 = 1e-2;
 /// Iteration cap of the coarse Weiszfeld phase (the verification phase may
 /// still run up to `MedianOptions::max_iters` if Newton stalls).
 const COARSE_CAP: usize = 8;
+
+/// How far, in coarse tolerances, the coarse iterate may sit from its
+/// nearest anchor for that anchor to be tested for optimality before
+/// Newton. Weiszfeld approaches an optimal anchor linearly, so its coarse
+/// pass mostly stops close to it; an interior optimum sits farther out
+/// and skips the test. An anchor optimum beyond the radius stalls Newton
+/// and is tested on the stall path instead.
+const ANCHOR_CERT_RADIUS: f64 = 8.0;
+
+/// Subgradient-gap acceptance threshold of a finished solve, relative to
+/// the total weight.
+const GAP_REL_TOL: f64 = 1e-10;
 
 /// Sum of Euclidean distances from `c` to every point — the objective the
 /// geometric median minimizes, and the per-step service cost of the model.
@@ -330,18 +347,22 @@ fn anchor_is_optimal<const N: usize>(
     pull <= coincident
 }
 
-/// Moves `y` onto the bits of its nearest anchor when that anchor carries
-/// the optimality certificate; `false` (and `y` untouched) otherwise. A
-/// Vardi–Zhang certificate stops within 1e-14 of its anchor, so this also
-/// snaps those onto the anchor exactly.
+/// Moves `y` onto the bits of its nearest anchor when that anchor lies
+/// within `radius` and carries the optimality certificate; `false` (and
+/// `y` untouched) otherwise. A Vardi–Zhang certificate stops within 1e-14
+/// of its anchor, so this also snaps those onto the anchor exactly.
 fn certify_nearest_anchor<const N: usize>(
     points: &[Point<N>],
     weights: &[f64],
     y: &mut Point<N>,
+    radius: f64,
 ) -> bool {
-    let Some((idx, _)) = soa::nearest_index_points(points, y) else {
+    let Some((idx, dist)) = soa::nearest_index_points(points, y) else {
         return false;
     };
+    if dist > radius {
+        return false;
+    }
     let certified = anchor_is_optimal(points, weights, &points[idx]);
     if certified {
         *y = points[idx];
@@ -436,7 +457,7 @@ fn coarse_then_newton<const N: usize>(
     let (it1, certified) = weiszfeld_until(points, weights, y, coarse_tol, coarse_cap);
     // An anchor optimum: certify the nearest anchor now, in O(n), instead
     // of letting Newton stall beside it and the caller crawl to 1e-13.
-    if certify_nearest_anchor(points, weights, y) || certified {
+    if certify_nearest_anchor(points, weights, y, ANCHOR_CERT_RADIUS * coarse_tol) || certified {
         return (it1, true);
     }
     // Newton finishes the job quadratically where Weiszfeld crawls
@@ -497,7 +518,7 @@ fn solve_from<const N: usize>(
     // the same thresholds.
     let spread = weighted_sum_of_distances(points, weights, &weighted_centroid(points, weights))
         / total_weight;
-    let gap_tol = 1e-10 * total_weight;
+    let gap_tol = GAP_REL_TOL * total_weight;
     let mut iters_total = 0;
     let mut best: Option<(f64, Point<N>)> = None;
     let mut next_start = start;
@@ -516,13 +537,17 @@ fn solve_from<const N: usize>(
             return (c, iters_total, false);
         }
 
-        // The fast pass stalled (flat valley or a grazed anchor). Fall back
-        // to the classic full-length Weiszfeld sweep at the tight tolerance
-        // before judging again, so the hybrid never returns a looser answer
-        // than the reference iteration.
+        // The fast pass stalled (flat valley or a grazed anchor). An anchor
+        // optimum the coarse pass stopped too far from to test ends here,
+        // in O(n). Otherwise fall back to the classic full-length Weiszfeld
+        // sweep at the tight tolerance before judging again, so the hybrid
+        // never returns a looser answer than the reference iteration.
+        if certify_nearest_anchor(points, weights, &mut y, f64::INFINITY) {
+            return (y, iters_total, true);
+        }
         let (it2, certified) = weiszfeld_until(points, weights, &mut y, opts.tol, opts.max_iters);
         iters_total += it2;
-        if certify_nearest_anchor(points, weights, &mut y) || certified {
+        if certified {
             return (y, iters_total, true);
         }
         let ranked = ranked.get_or_insert_with(|| {
@@ -889,6 +914,7 @@ impl MedianTelemetry {
 pub struct MedianSolver<const N: usize> {
     opts: MedianOptions,
     warm: Option<Point<N>>,
+    hinted: bool,
     ones: Vec<f64>,
     ts: Vec<f64>,
     order: Vec<usize>,
@@ -908,6 +934,7 @@ impl<const N: usize> MedianSolver<N> {
         MedianSolver {
             opts,
             warm: None,
+            hinted: false,
             ones: Vec::new(),
             ts: Vec::new(),
             order: Vec::new(),
@@ -919,6 +946,7 @@ impl<const N: usize> MedianSolver<N> {
     /// unrelated request streams — e.g. at simulator reset.
     pub fn reset(&mut self) {
         self.warm = None;
+        self.hinted = false;
     }
 
     /// Replaces the convergence options for subsequent solves.
@@ -935,6 +963,16 @@ impl<const N: usize> MedianSolver<N> {
     /// δ-lane of a batched run whose server sits at almost the same spot).
     pub fn seed(&mut self, center: Point<N>) {
         self.warm = Some(center);
+    }
+
+    /// Primes the warm start with a center a neighbor just solved for the
+    /// *same* request set (a δ-lane of a batched run). The next solve
+    /// returns the hint unchanged when it passes the solver's
+    /// subgradient-gap acceptance test, one O(n) pass instead of a solve;
+    /// otherwise it proceeds as after [`MedianSolver::seed`].
+    pub fn hint(&mut self, center: Point<N>) {
+        self.warm = Some(center);
+        self.hinted = true;
     }
 
     /// The warm-start iterate the next solve would use, if any.
@@ -977,6 +1015,7 @@ impl<const N: usize> MedianSolver<N> {
         assert!(!points.is_empty(), "center of empty request set");
         assert_eq!(points.len(), weights.len(), "length mismatch");
         self.telemetry.solves += 1;
+        let hinted = std::mem::take(&mut self.hinted);
 
         if points.len() == 1 {
             self.telemetry.exact += 1;
@@ -1011,6 +1050,18 @@ impl<const N: usize> MedianSolver<N> {
             self.warm = Some(c);
             *out = c;
             return;
+        }
+
+        // A neighbor's center for this same set already passes the
+        // acceptance test `solve_from` ends with: keep its bits.
+        if let Some(hint) = self.warm.filter(|h| hinted && h.is_finite()) {
+            let total_weight: f64 = weights.iter().sum();
+            if weighted_optimality_gap(points, weights, &hint) <= GAP_REL_TOL * total_weight {
+                self.telemetry.warm_starts += 1;
+                self.telemetry.last_iterations = 0;
+                *out = hint;
+                return;
+            }
         }
 
         let start = match self.warm {
@@ -1286,6 +1337,43 @@ mod tests {
         assert_eq!(solver.telemetry.warm_starts, 0);
         assert_eq!(solver.telemetry.last_iterations, 0);
         assert_eq!(solver.telemetry.exact, 1);
+    }
+
+    #[test]
+    fn solver_hint_verifies_a_neighbors_center() {
+        let pts = [
+            P2::xy(0.0, 0.0),
+            P2::xy(2.0, 0.1),
+            P2::xy(1.0, 1.7),
+            P2::xy(0.9, -1.2),
+            P2::xy(-0.8, 0.9),
+        ];
+        let mut neighbor = MedianSolver::<2>::new(MedianOptions::default());
+        let solved = neighbor.center(&pts, &P2::origin());
+        // The neighbor's center for the same set is kept bit-for-bit,
+        // without an iteration.
+        let mut solver = MedianSolver::<2>::new(MedianOptions::default());
+        solver.hint(solved);
+        assert_eq!(solver.center(&pts, &P2::origin()), solved);
+        assert_eq!(solver.telemetry.warm_starts, 1);
+        assert_eq!(solver.telemetry.last_iterations, 0);
+        // A hint that fails the test solves exactly as a seed would.
+        let far = P2::xy(0.3, 0.2);
+        let mut seeded = MedianSolver::<2>::new(MedianOptions::default());
+        seeded.seed(far);
+        let mut hinted = MedianSolver::<2>::new(MedianOptions::default());
+        hinted.hint(far);
+        assert_eq!(
+            hinted.center(&pts, &P2::origin()),
+            seeded.center(&pts, &P2::origin())
+        );
+        assert_eq!(hinted.telemetry, seeded.telemetry);
+        assert!(hinted.telemetry.last_iterations > 0);
+        // A seed is never taken as the answer, even an optimal one: a
+        // resumed run must iterate exactly as the uninterrupted one did.
+        seeded.seed(solved);
+        let _ = seeded.center(&pts, &P2::origin());
+        assert!(seeded.telemetry.last_iterations > 0);
     }
 
     #[test]
