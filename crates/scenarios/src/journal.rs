@@ -92,10 +92,13 @@ fn corrupt(at: impl std::fmt::Display, message: impl Into<String>) -> JournalErr
     }
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-16 tables: `CRC32_TABLES[0]` is the bytewise table of the
+/// reflected polynomial, and `CRC32_TABLES[k][i]` is the CRC register
+/// after byte `i` is followed by `k` zero bytes.
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -108,19 +111,50 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
-/// guarding every journal record. Exposed so external tooling can verify
-/// records against `docs/CHECKPOINT_FORMAT.md` without this crate.
+/// guarding every journal record, every block-v3 trace block, and the
+/// block-v3 index trailer. Exposed so external tooling can verify files
+/// against `docs/CHECKPOINT_FORMAT.md` and `docs/TRACE_FORMAT.md` without
+/// this crate.
+///
+/// Computed by slicing-by-16 (Kounavis & Berry, ISCC 2005): sixteen
+/// bytes per iteration through sixteen table lookups, then a bytewise
+/// tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let lane = |w: u32, hi: usize| {
+        t[hi][(w & 0xFF) as usize]
+            ^ t[hi - 1][((w >> 8) & 0xFF) as usize]
+            ^ t[hi - 2][((w >> 16) & 0xFF) as usize]
+            ^ t[hi - 3][(w >> 24) as usize]
+    };
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        c = lane(word(&chunk[0..4]) ^ c, 15)
+            ^ lane(word(&chunk[4..8]), 11)
+            ^ lane(word(&chunk[8..12]), 7)
+            ^ lane(word(&chunk[12..16]), 3);
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -650,6 +684,7 @@ mod tests {
     use msp_core::model::Step;
     use msp_core::mtc::MoveToCenter;
     use msp_geometry::P2;
+    use proptest::prelude::*;
 
     fn params() -> StreamParams<2> {
         StreamParams::new(4.0, 1.0, P2::origin())
@@ -677,11 +712,44 @@ mod tests {
         (writer.into_inner(), checkpoints)
     }
 
+    /// The byte-at-a-time CRC-32: the oracle `crc32` is checked against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_the_reference_vector() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Slicing-by-16 equals the bytewise oracle on buffers of 0–4096
+        /// bytes, and on every start offset 0–15 into each buffer — whole
+        /// suffixes and every slice of up to 48 bytes — so unaligned
+        /// heads and every 0–15-byte tail are covered.
+        #[test]
+        fn crc32_slicing_matches_the_bytewise_oracle(
+            bytes in prop::collection::vec((0u32..256).prop_map(|b| b as u8), 0..4097),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+            for start in 0..16.min(bytes.len()) {
+                let suffix = &bytes[start..];
+                prop_assert_eq!(crc32(suffix), crc32_bytewise(suffix));
+                for len in 0..=48.min(suffix.len()) {
+                    let slice = &suffix[..len];
+                    prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Durable, versioned request traces: record once, replay everywhere.
 //!
-//! Three wire formats, all carrying the same data (model parameters plus
+//! Four wire formats, all carrying the same data (model parameters plus
 //! the step sequence) and all replayable through [`TraceReader`]:
 //!
 //! * **Text v1** — the `msp_core::io` plain-text instance format, written
@@ -156,6 +156,13 @@ fn coords_line<const N: usize>(p: &Point<N>) -> String {
 /// [`finish`] writes the trailer and returns the sink. Dropping a writer
 /// without `finish` leaves a trailerless file, which the chunked and
 /// binary readers report as truncated — deliberate torn-write detection.
+/// A block v3 file written without `finish` has no index trailer (and
+/// lacks its last, partial block), so [`BlockTraceReader::open`] rejects
+/// it; [`salvage_block_trace`] still recovers the complete blocks.
+///
+/// The v3 path buffers one block — its requests in one flat `Vec` and
+/// their per-step counts — and encodes each block into a byte buffer
+/// reused across blocks, so steady-state writing allocates nothing.
 ///
 /// [`write_step`]: TraceWriter::write_step
 /// [`finish`]: TraceWriter::finish
@@ -164,10 +171,13 @@ pub struct TraceWriter<const N: usize, W: Write> {
     format: TraceFormat,
     steps: usize,
     chunks: usize,
-    /// BlockV3 state: steps buffered for the in-flight block, byte
-    /// offsets of the flushed blocks, and bytes emitted so far (offsets
-    /// are tracked by counting, so the sink need not be seekable).
-    pending: Vec<Step<N>>,
+    /// BlockV3 state: the in-flight block's requests (flat) and
+    /// per-step request counts, the reused encode buffer, byte offsets of
+    /// the flushed blocks, and bytes emitted so far (offsets are tracked
+    /// by counting, so the sink need not be seekable).
+    block_points: Vec<Point<N>>,
+    block_counts: Vec<u32>,
+    block_bytes: Vec<u8>,
     block_offsets: Vec<u64>,
     written: u64,
 }
@@ -230,7 +240,9 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
             format,
             steps: 0,
             chunks: 0,
-            pending: Vec::new(),
+            block_points: Vec::new(),
+            block_counts: Vec::new(),
+            block_bytes: Vec::new(),
             block_offsets: Vec::new(),
             written,
         })
@@ -251,7 +263,8 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
     /// replayed into a valid [`Instance`]) and on steps with more than
     /// `MAX_REQUESTS_PER_STEP` requests (the decoder treats larger frame
     /// counts as corruption, so writing one would produce an unreadable
-    /// trace).
+    /// trace). A block v3 writer also panics when one block's payload
+    /// outgrows its `u32` length field (4 GiB).
     pub fn write_step(&mut self, step: &Step<N>) -> Result<(), TraceError> {
         for v in &step.requests {
             assert!(v.is_finite(), "trace step has a non-finite request {v:?}");
@@ -280,8 +293,9 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
                 }
             }
             TraceFormat::BlockV3 { block } => {
-                self.pending.push(step.clone());
-                if self.pending.len() == block {
+                self.block_points.extend_from_slice(&step.requests);
+                self.block_counts.push(step.requests.len() as u32);
+                if self.block_counts.len() == block {
                     self.flush_block()?;
                 }
             }
@@ -293,12 +307,17 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
     /// Encodes and writes the buffered steps as one v3 block, recording
     /// its byte offset for the index trailer.
     fn flush_block(&mut self) -> Result<(), TraceError> {
-        debug_assert!(!self.pending.is_empty());
-        let bytes = encode_block(&self.pending);
+        debug_assert!(!self.block_counts.is_empty());
+        encode_block_into(
+            &self.block_counts,
+            &self.block_points,
+            &mut self.block_bytes,
+        );
         self.block_offsets.push(self.written);
-        self.sink.write_all(&bytes)?;
-        self.written += bytes.len() as u64;
-        self.pending.clear();
+        self.sink.write_all(&self.block_bytes)?;
+        self.written += self.block_bytes.len() as u64;
+        self.block_points.clear();
+        self.block_counts.clear();
         obs::incr(obs::Counter::TraceBlocksWritten);
         Ok(())
     }
@@ -335,7 +354,7 @@ impl<const N: usize, W: Write> TraceWriter<N, W> {
                 self.sink.write_all(&(self.steps as u64).to_le_bytes())?;
             }
             TraceFormat::BlockV3 { .. } => {
-                if !self.pending.is_empty() {
+                if !self.block_counts.is_empty() {
                     self.flush_block()?;
                 }
                 let mut trailer = Vec::with_capacity(24 + 8 * self.block_offsets.len());
@@ -1010,73 +1029,68 @@ pub fn diff_streams<const N: usize>(
 // Block trace v3 codec
 // ---------------------------------------------------------------------------
 
-/// Encodes one v3 block: a delta payload when every coordinate
-/// reconstructs bit-exactly, raw `f64` frames otherwise (the per-block
-/// escape hatch). The CRC-32 covers marker, mode, counts, and payload.
-fn encode_block<const N: usize>(steps: &[Step<N>]) -> Vec<u8> {
-    let (mode, payload) = match try_delta_payload(steps) {
-        Some(p) => (BLOCK_MODE_DELTA, p),
-        None => (BLOCK_MODE_RAW, raw_payload(steps)),
-    };
-    let mut out = Vec::with_capacity(BLOCK_HEADER_LEN + payload.len() + 4);
+/// Encodes one v3 block into `out` (cleared first; its capacity is reused
+/// across blocks). `counts[k]` is the request count of the block's step
+/// `k`, and `points` holds all of the block's requests in step order.
+///
+/// The delta payload is written first: a base point (the block's first
+/// request, or the origin) stored as `f64` bits, then per step a request
+/// count and `f32` deltas against a per-dimension running predictor
+/// (seeded from the base, updated to each reconstructed value). If any
+/// coordinate does not reconstruct bit-exactly as `pred + (delta as
+/// f64)`, `out` is truncated back to the header, the mode byte is
+/// rewritten, and raw `f64` frames follow instead — the per-block escape
+/// hatch. Finally the payload length is patched in and the CRC-32 over
+/// marker, mode, counts and payload is appended.
+fn encode_block_into<const N: usize>(counts: &[u32], points: &[Point<N>], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(BLOCK_HEADER_LEN + 4 * counts.len() + 8 * N * (points.len() + 1) + 4);
     out.extend_from_slice(BLOCK_MARKER);
-    out.push(mode);
-    out.extend_from_slice(&(steps.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
+    out.push(BLOCK_MODE_DELTA);
+    out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // payload length, patched below
 
-fn raw_payload<const N: usize>(steps: &[Step<N>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for step in steps {
-        out.extend_from_slice(&(step.requests.len() as u32).to_le_bytes());
-        for v in &step.requests {
-            for c in v.coords() {
-                out.extend_from_slice(&c.to_bits().to_le_bytes());
-            }
-        }
-    }
-    out
-}
-
-/// Delta payload: a base point stored as `f64` bits, then per step a
-/// request count and `f32` deltas against a per-dimension running
-/// predictor (seeded from the base, updated to each reconstructed value).
-/// Returns `None` — triggering the raw escape hatch — unless **every**
-/// coordinate of the block reconstructs bit-exactly as
-/// `pred + (delta as f64)`.
-fn try_delta_payload<const N: usize>(steps: &[Step<N>]) -> Option<Vec<u8>> {
-    let base = steps
-        .iter()
-        .find_map(|s| s.requests.first())
-        .copied()
-        .unwrap_or_else(Point::origin);
-    let mut out = Vec::new();
+    let base = points.first().copied().unwrap_or_else(Point::origin);
     for c in base.coords() {
         out.extend_from_slice(&c.to_bits().to_le_bytes());
     }
     let mut pred = *base.coords();
-    for step in steps {
-        out.extend_from_slice(&(step.requests.len() as u32).to_le_bytes());
-        for v in &step.requests {
-            for (j, c) in v.coords().iter().enumerate() {
-                let delta = (c - pred[j]) as f32;
-                if !delta.is_finite() {
-                    return None;
+    let mut requests = points.iter();
+    let delta_exact = 'delta: {
+        for &count in counts {
+            out.extend_from_slice(&count.to_le_bytes());
+            for v in requests.by_ref().take(count as usize) {
+                for (j, c) in v.coords().iter().enumerate() {
+                    let delta = (c - pred[j]) as f32;
+                    let recon = pred[j] + delta as f64;
+                    if !delta.is_finite() || recon.to_bits() != c.to_bits() {
+                        break 'delta false;
+                    }
+                    out.extend_from_slice(&delta.to_le_bytes());
+                    pred[j] = recon;
                 }
-                let recon = pred[j] + delta as f64;
-                if recon.to_bits() != c.to_bits() {
-                    return None;
+            }
+        }
+        true
+    };
+    if !delta_exact {
+        out.truncate(BLOCK_HEADER_LEN);
+        out[4] = BLOCK_MODE_RAW;
+        let mut requests = points.iter();
+        for &count in counts {
+            out.extend_from_slice(&count.to_le_bytes());
+            for v in requests.by_ref().take(count as usize) {
+                for c in v.coords() {
+                    out.extend_from_slice(&c.to_bits().to_le_bytes());
                 }
-                out.extend_from_slice(&delta.to_le_bytes());
-                pred[j] = recon;
             }
         }
     }
-    Some(out)
+    let payload_len =
+        u32::try_from(out.len() - BLOCK_HEADER_LEN).expect("v3 block payload beyond 4 GiB");
+    out[9..BLOCK_HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(out);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// A v3 block decoded into reusable scratch: `points` holds every request

@@ -16,6 +16,10 @@
 //!   returns exactly what the sequential `diff_streams` returns for
 //!   every thread count (1, 2, pool default), the `executor_semantics`
 //!   pinning pattern applied to the corpus tier.
+//! * **Encoder byte pin** — the v3 bytes of a fixed fixture (delta
+//!   blocks, a raw fallback after delta bytes, empty steps, a short last
+//!   block) keep the length and hashes recorded from the original
+//!   encoder.
 //! * **Mid-frame EOF classification** — a dedicated regression per
 //!   format version for `TraceReader::read_valid_prefix` (and the v3
 //!   salvage counterpart): a frame cut mid-read is reported as
@@ -380,4 +384,93 @@ fn diff_reports_ended_early_at_the_boundary() {
             other => panic!("expected early-end at 7, got {other:?}"),
         }
     }
+}
+
+/// Block modes of a v3 file, read by walking the block framing from the
+/// end of the file header (`28 + 8·N` bytes) to the index trailer.
+fn v3_block_modes(bytes: &[u8], n: usize) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut modes = Vec::new();
+    let mut at = 28 + 8 * n;
+    while &bytes[at..at + 4] == b"BLK3" {
+        modes.push(bytes[at + 4]);
+        at += 13 + u32_at(at + 9) + 4;
+    }
+    assert_eq!(
+        &bytes[at..at + 4],
+        b"IDX3",
+        "block framing ends at the trailer"
+    );
+    modes
+}
+
+/// The v3 byte-pin fixture: block size 4 over 18 steps.
+///
+/// * block 0 — delta-coded, with an empty step and 1–3 requests a step;
+/// * block 1 — two delta-exact steps, then `-0.0`, which forces the raw
+///   fallback after delta bytes were already produced;
+/// * block 2 — a `+0.1` jump no `f32` delta reproduces, mid-block;
+/// * block 3 — only empty steps (delta mode against an origin base);
+/// * block 4 — a short final block of two steps.
+fn byte_pin_fixture() -> Instance<2> {
+    let steps: Vec<Vec<P2>> = vec![
+        vec![P2::xy(1.0, 2.0), P2::xy(1.5, 2.25)],
+        vec![],
+        vec![P2::xy(0.75, -3.5)],
+        vec![P2::xy(2.0, 2.0), P2::xy(2.5, 1.0), P2::xy(3.0, 0.5)],
+        vec![P2::xy(1.0, 1.0)],
+        vec![P2::xy(1.25, 1.5)],
+        vec![P2::xy(-0.0, 1.5)],
+        vec![],
+        vec![P2::xy(10.0, 10.0)],
+        vec![P2::xy(10.5, 9.75)],
+        vec![P2::xy(10.6, 9.75), P2::xy(-7.0, 3.0)],
+        vec![P2::xy(-6.875, 3.125)],
+        vec![],
+        vec![],
+        vec![],
+        vec![],
+        vec![P2::xy(4.0, -4.0)],
+        vec![P2::xy(4.5, -3.75), P2::xy(5.0, 1.0e6)],
+    ];
+    Instance::new(
+        4.0,
+        1.0,
+        P2::xy(0.5, -0.5),
+        steps.into_iter().map(Step::new).collect(),
+    )
+}
+
+/// 64-bit FNV-1a: a content hash for the byte pin below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The v3 encoder's bytes are pinned: the fixture's length, CRC-32 and
+/// FNV-1a hash were recorded from the earlier encoder (one `Vec` per
+/// payload, bytewise CRC) and must never move. Any change to the wire bytes — block framing, mode
+/// choice, the raw fallback's rewind, payload lengths or CRC placement —
+/// shows here.
+///
+/// The CRC-32 of the whole file alone would not be enough: every block
+/// ends with its own CRC, and a CRC register fed a segment followed by
+/// that segment's CRC ends in a state that depends on the segment's
+/// length but not its content. So the file CRC pins the header, the
+/// framing and the trailer, and the FNV-1a hash pins the payload bytes.
+#[test]
+fn v3_encoding_bytes_are_pinned() {
+    use mobile_server::scenarios::journal::crc32;
+    let inst = byte_pin_fixture();
+    let bytes = record_to_vec(
+        &mut InstanceStream::new(inst.clone()),
+        TraceFormat::BlockV3 { block: 4 },
+    )
+    .unwrap();
+    assert_eq!(v3_block_modes(&bytes, 2), vec![1, 0, 0, 1, 1]);
+    assert_eq!((bytes.len(), crc32(&bytes)), (517, 0xA4B6_4F60));
+    assert_eq!(fnv1a64(&bytes), 0xC78B_C31B_B6B1_85A8);
+    let decoded: Instance<2> = read_trace(&bytes).unwrap();
+    assert_steps_bit_equal(&decoded, &inst);
 }
