@@ -40,6 +40,6 @@ pub use regression::{fit_power_law, linear_fit, LinearFit, PowerLawFit};
 pub use stats::{StreamingSummary, Summary};
 pub use sweep::{
     parallel_for_each_mut, parallel_map, pool_stats, pool_threads, try_parallel_map_indexed,
-    try_parallel_map_indexed_backoff, BackoffSchedule, LaneError, PoolStats,
+    LaneError, PoolStats,
 };
 pub use table::Table;

@@ -5,11 +5,10 @@
 //! Every tier of the system reports through this module — the executor
 //! pool (`sweep`), the grid DP and its distance-transform kernel
 //! (`msp-offline`), the median solver (via `msp-core`'s Move-to-Center),
-//! the streaming simulator, the checkpoint journal and the session
-//! service (`msp-scenarios` — the `service.*` metric family), and the
-//! live ratio probe. The registry is the *only* shared state:
-//! metric identities are a closed enum, storage is static, and nothing
-//! here allocates or locks on the hot path.
+//! the streaming simulator, the trace codec and the checkpoint journal
+//! (`msp-scenarios`), and the live ratio probe. The registry is the
+//! *only* shared state: metric identities are a closed enum, storage is
+//! static, and nothing here allocates or locks on the hot path.
 //!
 //! ## Determinism contract
 //!
@@ -59,7 +58,7 @@ pub const SHARDS: usize = 8;
 
 /// Identity string of the snapshot schema; bumped when the key set or
 /// layout changes so downstream consumers can validate what they parse.
-pub const SCHEMA: &str = "msp-metrics-v1";
+pub const SCHEMA: &str = "msp-metrics-v2";
 
 // ---------------------------------------------------------------------
 // Metric identities
@@ -159,19 +158,6 @@ metric_enum! {
         ProbeBlocks => "probe.blocks",
         /// Windowed grid lower bounds solved by ratio probes.
         ProbeGridBounds => "probe.grid_bounds",
-        /// Sessions opened (or re-opened after recovery) by a session
-        /// service (the `service.*` metric family; `docs/SESSIONS.md`).
-        ServiceSessions => "service.sessions",
-        /// Sessions evicted from residency (to warm state or journal).
-        ServiceEvictions => "service.evictions",
-        /// Evictions that spilled the session to its durable journal.
-        ServiceSpills => "service.spills",
-        /// Cold sessions rebuilt into live simulations on access.
-        ServiceResumes => "service.resumes",
-        /// Sessions quarantined after exhausting their retry budget.
-        ServiceQuarantines => "service.quarantines",
-        /// Loud durable→memory-only degradations on journal errors.
-        ServiceDegradations => "service.degradations",
     }
 }
 
@@ -180,8 +166,6 @@ metric_enum! {
     Gauge {
         /// Deepest executor ticket queue observed at submit time.
         ExecutorQueueDepthHwm => "executor.queue_depth_hwm",
-        /// Most sessions simultaneously resident in a session service.
-        ServiceResidentHwm => "service.resident_hwm",
     }
 }
 
@@ -204,11 +188,6 @@ metric_enum! {
         ProbeBoundNs => "probe.bound_ns",
         /// Live ratio `alg_cost / lower_bound` per report block, ×1000.
         ProbeRatioPermille => "probe.ratio_permille",
-        /// Wall-clock of one cold-session resume (warm decode or journal
-        /// recovery plus stream fast-forward), nanoseconds.
-        ServiceResumeNs => "service.resume_ns",
-        /// Steps delivered per session-service advance call.
-        ServiceAdvanceSteps => "service.advance_steps",
     }
 }
 
@@ -220,11 +199,8 @@ impl Hist {
             | Hist::GridStepNs
             | Hist::JournalAppendNs
             | Hist::JournalFsyncNs
-            | Hist::ProbeBoundNs
-            | Hist::ServiceResumeNs => "ns",
-            Hist::StreamBlockFill | Hist::JournalCheckpointGapSteps | Hist::ServiceAdvanceSteps => {
-                "steps"
-            }
+            | Hist::ProbeBoundNs => "ns",
+            Hist::StreamBlockFill | Hist::JournalCheckpointGapSteps => "steps",
             Hist::ProbeRatioPermille => "permille",
         }
     }
@@ -717,7 +693,7 @@ mod tests {
             assert_eq!(c.name(), *name);
         }
         let rendered = snap.to_json().to_string();
-        assert!(rendered.contains("\"schema\":\"msp-metrics-v1\""));
+        assert!(rendered.contains("\"schema\":\"msp-metrics-v2\""));
         for c in Counter::ALL {
             assert!(rendered.contains(c.name()), "missing {}", c.name());
         }

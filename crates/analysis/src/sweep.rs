@@ -560,94 +560,12 @@ where
     E: Send,
     F: Fn(usize, &I) -> Result<O, E> + Sync,
 {
-    try_parallel_map_indexed_backoff(items, threads, attempts, BackoffSchedule::none(), f)
-}
-
-/// A deterministic retry-delay schedule: the pause before attempt `k+1`
-/// of lane `i` is a pure function of `(seed, i, k)` — exponential growth
-/// from `base_ns` with seeded jitter, capped at `max_ns`. No wall-clock
-/// or RNG state enters the schedule, so a supervised fan replays its
-/// exact retry timing from the seed; two fans with the same seed pause
-/// identically whether or not the faults they absorb recur.
-#[derive(Clone, Copy, Debug)]
-pub struct BackoffSchedule {
-    seed: u64,
-    base_ns: u64,
-    max_ns: u64,
-}
-
-impl BackoffSchedule {
-    /// A schedule starting at `base_ns` and doubling per attempt up to
-    /// `max_ns`, jittered deterministically from `seed`.
-    pub fn new(seed: u64, base_ns: u64, max_ns: u64) -> Self {
-        BackoffSchedule {
-            seed,
-            base_ns,
-            max_ns: max_ns.max(base_ns),
-        }
-    }
-
-    /// The zero schedule: retries follow immediately (the historical
-    /// behavior of [`try_parallel_map_indexed`]).
-    pub fn none() -> Self {
-        BackoffSchedule {
-            seed: 0,
-            base_ns: 0,
-            max_ns: 0,
-        }
-    }
-
-    /// The pause, in nanoseconds, between attempt `attempt` (1-based) and
-    /// the next one for lane `lane`. Deterministic; 0 for [`Self::none`].
-    pub fn delay_ns(&self, lane: usize, attempt: usize) -> u64 {
-        if self.base_ns == 0 {
-            return 0;
-        }
-        let exp = self
-            .base_ns
-            .saturating_mul(1u64 << (attempt - 1).min(20) as u32);
-        // SplitMix64 over (seed, lane, attempt): stateless, replayable.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(1 + lane as u64))
-            .wrapping_add(0xBF58_476D_1CE4_E5B9u64.wrapping_mul(attempt as u64));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // Jitter in [½·exp, exp): full-rate retry storms never synchronize.
-        let jittered = exp / 2 + z % (exp / 2).max(1);
-        jittered.min(self.max_ns)
-    }
-}
-
-/// [`try_parallel_map_indexed`] with a deterministic, seeded backoff
-/// pause between attempts (see [`BackoffSchedule`]). Every retry is
-/// counted on `executor.retries`; the pause happens on the lane's worker
-/// only, so sibling lanes keep running while a flaky lane waits out its
-/// schedule.
-pub fn try_parallel_map_indexed_backoff<I, O, E, F>(
-    items: &[I],
-    threads: usize,
-    attempts: usize,
-    backoff: BackoffSchedule,
-    f: F,
-) -> Vec<Result<O, LaneError<E>>>
-where
-    I: Sync,
-    O: Send,
-    E: Send,
-    F: Fn(usize, &I) -> Result<O, E> + Sync,
-{
     let attempts = attempts.max(1);
     parallel_map_indexed(items, threads, |i, item| {
         let mut last = None;
         for attempt in 1..=attempts {
             if attempt > 1 {
                 obs::incr(obs::Counter::ExecutorRetries);
-                let delay = backoff.delay_ns(i, attempt - 1);
-                if delay > 0 {
-                    std::thread::sleep(std::time::Duration::from_nanos(delay));
-                }
             }
             match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
                 Ok(Ok(out)) => return Ok(out),

@@ -44,13 +44,6 @@
 //!   vs **disabled** (fast): the instrumentation tax on the hot path.
 //!   The contract is ≈ 1× — results are bit-equal either way (asserted)
 //!   and the enabled path must stay within ~1% of the disabled one,
-//! * `service_session_churn` (PR 8) — a round-robin advance over a
-//!   session fleet through [`msp_scenarios::SessionService`] with a
-//!   resident cap of 1 (every touch evicts the previous session and
-//!   warm-resumes the next — maximum churn) vs a cap covering the whole
-//!   fleet (no churn): the measured gap is the evict/checkpoint/resume
-//!   overhead of the bounded-memory tier, with bit-equal costs asserted
-//!   across the two configurations,
 //! * `corpus_seek_vs_scan` (PR 9) — O(1) `seek_to_step` through the
 //!   block-v3 index trailer vs scanning frames from the start of the
 //!   trace to the same probe steps (identical frames asserted),
@@ -161,8 +154,6 @@ struct Shapes {
     fanouts: usize,
     /// Seed-adjacent instances per timing sample of the warm-fan pair.
     warm_fan_instances: usize,
-    /// Sessions in the service-churn fleet.
-    churn_sessions: usize,
     /// Prefix marks (stride 4) in the warm-DP horizon sweep.
     warm_dp_marks: usize,
     reps: usize,
@@ -177,7 +168,6 @@ impl Shapes {
             kernel_evals: 256,
             fanouts: 512,
             warm_fan_instances: 48,
-            churn_sessions: 48,
             warm_dp_marks: 12,
             reps: 9,
         }
@@ -202,7 +192,6 @@ impl Shapes {
             kernel_evals: 128,
             fanouts: 192,
             warm_fan_instances: 24,
-            churn_sessions: 24,
             warm_dp_marks: 8,
             reps: 13,
         }
@@ -886,79 +875,6 @@ fn obs_overhead_comparison(sh: &Shapes) -> Comparison {
     }
 }
 
-/// PR 8: the session-churn tax of the bounded-memory service tier. The
-/// same round-robin fleet advance runs through a
-/// [`msp_scenarios::SessionService`] with
-/// a resident cap of 1 — every touch collapses the previous session to
-/// warm state and resumes the next one (maximum evict/resume churn) —
-/// vs a cap covering the whole fleet, where every simulator stays live.
-/// Costs must be bit-equal across the two configurations (that is the
-/// service's resume contract; asserted), so the ratio isolates pure
-/// churn overhead: checkpoint + warm-state encode on evict, algorithm
-/// clone + decode on resume.
-fn session_churn_comparison(sh: &Shapes) -> Comparison {
-    use msp_scenarios::{InstanceStream, ServiceConfig, SessionService};
-
-    const CHURN_STEPS: usize = 96;
-    const CHURN_SLICE: usize = 16;
-
-    fn churn_instance(seed: u64) -> Instance<2> {
-        let steps = (0..CHURN_STEPS)
-            .map(|t| {
-                let a = 0.11 * t as f64 + seed as f64;
-                Step::new(vec![P2::xy(a.cos(), 0.6 * a.sin())])
-            })
-            .collect();
-        Instance::new(2.0, 1.0, P2::origin(), steps)
-    }
-
-    fn run_fleet(n: usize, max_resident: usize) -> f64 {
-        let mut service =
-            SessionService::<2, MoveToCenter<2>>::new(ServiceConfig::new(max_resident));
-        for s in 0..n as u64 {
-            service
-                .open_session(
-                    format!("churn{s}"),
-                    Box::new(InstanceStream::new(churn_instance(s))),
-                    MoveToCenter::new(),
-                    0.2,
-                    ServingOrder::MoveFirst,
-                )
-                .expect("open churn session");
-        }
-        let mut total = 0.0;
-        for _ in 0..CHURN_STEPS / CHURN_SLICE {
-            for s in 0..n as u64 {
-                total += service
-                    .advance(&format!("churn{s}"), CHURN_SLICE)
-                    .expect("advance churn session")
-                    .total_cost;
-            }
-        }
-        total
-    }
-
-    let n = sh.churn_sessions;
-    let baseline_ns = time_ns(sh.reps, || run_fleet(n, 1));
-    let fast_ns = time_ns(sh.reps, || run_fleet(n, n));
-    let (churned, resident) = (run_fleet(n, 1), run_fleet(n, n));
-    assert_eq!(
-        churned.to_bits(),
-        resident.to_bits(),
-        "session churn changed results: {churned} vs {resident}"
-    );
-    Comparison {
-        name: "service_session_churn".into(),
-        baseline_ns,
-        fast_ns,
-        detail: format!(
-            "{n} single-request sessions × {CHURN_STEPS} steps advanced round-robin in \
-             {CHURN_SLICE}-step slices through a memory-only SessionService; resident cap 1 \
-             (evict + warm-resume on every touch) vs cap {n} (all live); bit-equal costs asserted"
-        ),
-    }
-}
-
 /// PR 9: O(1) `seek_to_step` through the v3 index trailer vs scanning
 /// frames from the start of the trace to the same probe steps. Both
 /// sides use the same reader and end on the same frame (bit-equality
@@ -1204,7 +1120,6 @@ fn main() {
         grid_dt_par_comparison(sh.grid_cells[1], &sh),
         warm_fan_comparison(&sh),
         obs_overhead_comparison(&sh),
-        session_churn_comparison(&sh),
         corpus_seek_vs_scan(&sh),
         corpus_replay_comparison(&sh),
     ];

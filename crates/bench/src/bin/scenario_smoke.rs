@@ -21,31 +21,21 @@
 //! snapshot must be deterministic modulo timing histograms), and dumps
 //! it as JSON.
 //!
-//! With `--chaos` the run drives a mixed session fleet through a
-//! seed-replayable schedule of advances, evictions, crashes (drop the
-//! whole [`msp_scenarios::SessionService`] and rebuild it with
-//! [`msp_scenarios::recover_service`]), and journal corruptions — then
-//! asserts every surviving session's trajectory is bit-equal to its
-//! uninterrupted oracle and every poisoned session surfaced as a typed
-//! quarantine, never a silent drop. `--seed <n>` picks the schedule.
-//!
 //! Run `scenario_smoke --help` for the flag summary.
 
 use msp_analysis::obs;
-use msp_analysis::BackoffSchedule;
 use msp_core::cost::ServingOrder;
 use msp_core::mtc::MoveToCenter;
-use msp_core::simulator::{StreamCheckpoint, StreamingSim};
+use msp_core::simulator::StreamingSim;
 use msp_scenarios::{
     corpus_trace_path, diff_block_traces, diff_streams, lookup, record_registry_corpus,
-    record_stream, record_to_vec, recover_journal, recover_service, registry, resume_from_journal,
-    run_stream, salvage_trace, scan_corpus, sweep_corpus, BlockTraceReader, FaultEvent, FaultKind,
-    FaultPlan, FaultyStream, FaultyWrite, JournalWriter, RequestStream, ScenarioKnobs,
-    ScenarioSpec, ServiceConfig, SessionError, SessionService, TraceFormat, TraceReader,
+    record_stream, record_to_vec, recover_journal, registry, resume_from_journal, run_stream,
+    salvage_trace, scan_corpus, sweep_corpus, BlockTraceReader, FaultEvent, FaultKind, FaultPlan,
+    FaultyWrite, JournalWriter, RequestStream, ScenarioKnobs, ScenarioSpec, TraceFormat,
+    TraceReader,
 };
-use std::collections::BTreeMap;
 use std::io::Cursor;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const SMOKE_SEED: u64 = 2017;
 const SMOKE_HORIZON: usize = 256;
@@ -64,11 +54,6 @@ OPTIONS:
                        grid smoke (asserting the grid.* counters move),
                        validate the post-run snapshot schema, and dump
                        it as JSON.
-    --chaos            Drive a mixed session-service fleet through a
-                       seed-replayable schedule of advances, evictions,
-                       crashes, and journal corruptions, asserting
-                       bit-equal recovery and typed quarantines.
-    --seed <n>         Schedule seed for --chaos (default 2017).
     --corpus           Record every registry scenario into a block-v3
                        corpus directory, scan it (every block CRC
                        checked), run the corpus-level differential
@@ -86,24 +71,18 @@ downgrade the check.";
 struct SmokeOptions {
     fault_seed: Option<u64>,
     metrics: bool,
-    chaos: bool,
-    chaos_seed: u64,
     corpus: bool,
     help: bool,
 }
 
 impl SmokeOptions {
     fn parse(args: impl Iterator<Item = String>) -> Result<SmokeOptions, String> {
-        let mut options = SmokeOptions {
-            chaos_seed: SMOKE_SEED,
-            ..SmokeOptions::default()
-        };
+        let mut options = SmokeOptions::default();
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--help" | "-h" => options.help = true,
                 "--metrics" => options.metrics = true,
-                "--chaos" => options.chaos = true,
                 "--corpus" => options.corpus = true,
                 "--fault-seed" => {
                     let raw = args.next().ok_or("--fault-seed requires a value")?;
@@ -111,12 +90,6 @@ impl SmokeOptions {
                         raw.parse()
                             .map_err(|_| format!("--fault-seed: not a number: {raw}"))?,
                     );
-                }
-                "--seed" => {
-                    let raw = args.next().ok_or("--seed requires a value")?;
-                    options.chaos_seed = raw
-                        .parse()
-                        .map_err(|_| format!("--seed: not a number: {raw}"))?;
                 }
                 other => return Err(format!("unknown argument: {other}")),
             }
@@ -418,336 +391,6 @@ fn corpus_smoke() -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Chaos harness
-// ---------------------------------------------------------------------------
-
-const CHAOS_SCENARIOS: [&str; 5] = [
-    "walk-plane",
-    "edge-drift",
-    "car-fleet",
-    "ring-districts",
-    "fleet-chase",
-];
-const CHAOS_HORIZON: usize = 192;
-const CHAOS_SEEDS_PER_SCENARIO: u64 = 3;
-const CHAOS_DELTA: f64 = 0.25;
-const CHAOS_EVENTS: usize = 36;
-/// Stream op at which the poisoned sessions' injected panic fires.
-const CHAOS_PANIC_OP: u64 = 100;
-
-/// SplitMix64 — the schedule's only randomness source, so every chaos
-/// run replays exactly from its seed.
-struct ChaosRng(u64);
-
-impl ChaosRng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-/// One member of the chaos fleet. `poisoned` members run behind a
-/// [`FaultyStream`] that panics at op [`CHAOS_PANIC_OP`] — they can never
-/// finish and must end the run quarantined.
-#[derive(Clone)]
-struct FleetMember {
-    name: String,
-    scenario: &'static str,
-    seed: u64,
-    poisoned: bool,
-}
-
-fn member_name(scenario: &str, seed: u64, poisoned: bool) -> String {
-    if poisoned {
-        format!("{scenario}#{seed}#poisoned")
-    } else {
-        format!("{scenario}#{seed}")
-    }
-}
-
-/// Decodes a fleet-member name back into its scenario/seed/poisoned
-/// parts — the inverse of [`member_name`], used when re-attaching
-/// streams during recovery.
-fn parse_member_name(name: &str) -> Option<(&str, u64, bool)> {
-    let mut parts = name.split('#');
-    let scenario = parts.next()?;
-    let seed: u64 = parts.next()?.parse().ok()?;
-    let poisoned = match parts.next() {
-        None => false,
-        Some("poisoned") => true,
-        Some(_) => return None,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((scenario, seed, poisoned))
-}
-
-fn chaos_stream(
-    scenario: &str,
-    seed: u64,
-    poisoned: bool,
-) -> Result<Box<dyn RequestStream<2> + Send>, String> {
-    let spec = lookup(scenario).ok_or_else(|| format!("chaos: unknown scenario {scenario}"))?;
-    let knobs = ScenarioKnobs::horizon(CHAOS_HORIZON);
-    let stream = spec
-        .stream_with::<2>(seed, &knobs)
-        .map_err(|e| format!("chaos: {scenario}: {e}"))?;
-    if poisoned {
-        let plan = FaultPlan::scripted(vec![FaultEvent {
-            at: CHAOS_PANIC_OP,
-            kind: FaultKind::Panic,
-        }]);
-        Ok(Box::new(FaultyStream::new(stream, plan)))
-    } else {
-        Ok(stream)
-    }
-}
-
-fn chaos_config(dir: &Path, seed: u64) -> ServiceConfig {
-    ServiceConfig::new(4)
-        .with_journal_dir(dir)
-        .with_retries(2, BackoffSchedule::new(seed, 1_000, 8_000))
-        .with_fault_plan(FaultPlan::from_seed(seed, 48, 5))
-}
-
-fn open_member(
-    service: &mut SessionService<2, MoveToCenter<2>>,
-    member: &FleetMember,
-) -> Result<(), String> {
-    let stream = chaos_stream(member.scenario, member.seed, member.poisoned)?;
-    service
-        .open_session(
-            member.name.clone(),
-            stream,
-            MoveToCenter::new(),
-            CHAOS_DELTA,
-            ServingOrder::MoveFirst,
-        )
-        .map_err(|e| format!("chaos: open {}: {e}", member.name))
-}
-
-/// Appends garbage to one seed-chosen journal file — simulated disk
-/// corruption, observed by the service at the next recovery.
-fn corrupt_one_journal(dir: &Path, rng: &mut ChaosRng) -> Option<String> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "mspj"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return None;
-    }
-    let victim = &files[rng.below(files.len() as u64) as usize];
-    let mut bytes = std::fs::read(victim).ok()?;
-    bytes.extend_from_slice(b"\xDE\xAD\xBE\xEFchaos-garbage");
-    std::fs::write(victim, &bytes).ok()?;
-    victim.file_name().map(|n| n.to_string_lossy().into_owned())
-}
-
-/// Drops the whole service (the crash) and rebuilds it from the journal
-/// directory; members that never spilled (or whose journal was lost to
-/// corruption) are re-opened from scratch — their deterministic streams
-/// replay to the same trajectory.
-fn crash_and_recover(
-    service: SessionService<2, MoveToCenter<2>>,
-    config: &ServiceConfig,
-    fleet: &[FleetMember],
-) -> Result<(SessionService<2, MoveToCenter<2>>, usize, usize), String> {
-    drop(service);
-    let (mut service, report) = recover_service::<2, MoveToCenter<2>, _>(config.clone(), {
-        |name, _recovery| {
-            let (scenario, seed, poisoned) = parse_member_name(name)?;
-            let stream = chaos_stream(scenario, seed, poisoned).ok()?;
-            Some((stream, MoveToCenter::new()))
-        }
-    })
-    .map_err(|e| format!("chaos: recovery failed: {e}"))?;
-    let recovered = report.recovered.len();
-    let skipped = report.skipped.len();
-    for member in fleet {
-        if !service.contains(&member.name) {
-            open_member(&mut service, member)?;
-        }
-    }
-    Ok((service, recovered, skipped))
-}
-
-/// The chaos smoke: a mixed fleet over a bounded-memory service, driven
-/// through a seed-replayable schedule of batch advances, explicit
-/// evictions, crash/recover cycles, and journal corruptions. Survivors
-/// must end bit-equal to their uninterrupted oracles; poisoned members
-/// must end quarantined with a typed error naming the injected fault.
-fn chaos_smoke(seed: u64) -> Result<(), String> {
-    let dir = std::env::temp_dir().join(format!("msp_chaos_{}_{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = chaos_config(&dir, seed);
-
-    // Assemble the fleet: every chaos scenario × a few seeds, plus two
-    // poisoned members that must quarantine rather than finish.
-    let mut fleet: Vec<FleetMember> = Vec::new();
-    for scenario in CHAOS_SCENARIOS {
-        for s in 0..CHAOS_SEEDS_PER_SCENARIO {
-            let seed_s = seed.wrapping_add(s);
-            fleet.push(FleetMember {
-                name: member_name(scenario, seed_s, false),
-                scenario,
-                seed: seed_s,
-                poisoned: false,
-            });
-        }
-    }
-    for (scenario, s) in [("walk-plane", 97u64), ("edge-drift", 98u64)] {
-        fleet.push(FleetMember {
-            name: member_name(scenario, s, true),
-            scenario,
-            seed: s,
-            poisoned: true,
-        });
-    }
-
-    // Uninterrupted oracle per healthy member: the full run, no service,
-    // no eviction, no faults.
-    let mut oracles: BTreeMap<String, StreamCheckpoint<2>> = BTreeMap::new();
-    for member in fleet.iter().filter(|m| !m.poisoned) {
-        let mut stream = chaos_stream(member.scenario, member.seed, false)?;
-        let params = stream.params();
-        let mut sim = StreamingSim::new(
-            &params,
-            MoveToCenter::new(),
-            CHAOS_DELTA,
-            ServingOrder::MoveFirst,
-        );
-        while let Some(step) = stream.next_step() {
-            sim.feed(&step);
-        }
-        oracles.insert(member.name.clone(), sim.checkpoint());
-    }
-
-    let mut service = SessionService::<2, MoveToCenter<2>>::new(config.clone());
-    for member in &fleet {
-        open_member(&mut service, member)?;
-    }
-
-    // The scheduled chaos: mostly batch advances, some explicit
-    // evictions, with crashes forced at fixed schedule positions (one of
-    // them preceded by journal corruption) and extra seed-chosen crashes.
-    let mut rng = ChaosRng(seed);
-    let (mut crashes, mut corruptions, mut recovered_total, mut skipped_total) = (0, 0, 0, 0);
-    for event in 0..CHAOS_EVENTS {
-        let forced_crash = event == CHAOS_EVENTS / 3 || event == 2 * CHAOS_EVENTS / 3;
-        let roll = rng.below(12);
-        if forced_crash || roll == 11 {
-            if forced_crash
-                && event >= CHAOS_EVENTS / 2
-                && corrupt_one_journal(&dir, &mut rng).is_some()
-            {
-                corruptions += 1;
-            }
-            let (next, recovered, skipped) = crash_and_recover(service, &config, &fleet)?;
-            service = next;
-            crashes += 1;
-            recovered_total += recovered;
-            skipped_total += skipped;
-        } else if roll >= 9 {
-            let victim = &fleet[rng.below(fleet.len() as u64) as usize];
-            service
-                .evict(&victim.name)
-                .map_err(|e| format!("chaos: evict {}: {e}", victim.name))?;
-        } else {
-            let mut requests: Vec<(String, usize)> = Vec::new();
-            for member in &fleet {
-                if rng.below(2) == 0 {
-                    requests.push((member.name.clone(), 16 + rng.below(48) as usize));
-                }
-            }
-            for (request, result) in requests.iter().zip(service.advance_batch(&requests)) {
-                match result {
-                    Ok(_) | Err(SessionError::Quarantined { .. }) => {}
-                    Err(e) => return Err(format!("chaos: advance {}: {e}", request.0)),
-                }
-            }
-        }
-    }
-
-    // Drive every non-quarantined member to the end of its stream.
-    for _ in 0..64 {
-        let requests: Vec<(String, usize)> = fleet
-            .iter()
-            .filter(|m| service.inspect(&m.name).is_none())
-            .filter(|m| {
-                service
-                    .checkpoint(&m.name)
-                    .map(|cp| cp.step < CHAOS_HORIZON)
-                    .unwrap_or(true)
-            })
-            .map(|m| (m.name.clone(), 64))
-            .collect();
-        if requests.is_empty() {
-            break;
-        }
-        for (request, result) in requests.iter().zip(service.advance_batch(&requests)) {
-            match result {
-                Ok(_) | Err(SessionError::Quarantined { .. }) => {}
-                Err(e) => return Err(format!("chaos: final drive {}: {e}", request.0)),
-            }
-        }
-    }
-
-    // Verdict 1: every healthy member's trajectory is bit-equal to its
-    // uninterrupted oracle.
-    for member in fleet.iter().filter(|m| !m.poisoned) {
-        let got = service
-            .checkpoint(&member.name)
-            .map_err(|e| format!("chaos: checkpoint {}: {e}", member.name))?;
-        let want = &oracles[&member.name];
-        if got != *want {
-            return Err(format!(
-                "chaos: {} diverged from its oracle after {crashes} crash(es): \
-                 step {} vs {}, cost {:.6} vs {:.6}",
-                member.name,
-                got.step,
-                want.step,
-                got.movement + got.service,
-                want.movement + want.service,
-            ));
-        }
-    }
-
-    // Verdict 2: every poisoned member surfaced as a typed quarantine
-    // naming the injected fault — never a silent drop or a wrong answer.
-    for member in fleet.iter().filter(|m| m.poisoned) {
-        let report = service
-            .inspect(&member.name)
-            .ok_or_else(|| format!("chaos: poisoned {} was not quarantined", member.name))?;
-        if !report.cause.contains("injected fault") {
-            return Err(format!(
-                "chaos: {} quarantined for the wrong reason: {}",
-                member.name, report.cause
-            ));
-        }
-    }
-
-    println!(
-        "  chaos seed {seed}: {} members, {crashes} crashes ({recovered_total} journal \
-         recoveries, {skipped_total} skipped), {corruptions} corruption(s), \
-         {} quarantined, survivors bit-equal to oracle",
-        fleet.len(),
-        service.quarantined().len(),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
 /// Exercises the PR 10 grid counters under `--metrics`: a probed
 /// streaming run whose periodic request pattern makes the probe's
 /// windowed DP hit its warm journal (identical blocks), plus a warm
@@ -909,31 +552,6 @@ fn main() {
             failures += 1;
         }
     }
-    if options.chaos {
-        println!(
-            "chaos smoke (seed {}): session fleet under crash/evict/corrupt schedule",
-            options.chaos_seed
-        );
-        // The poisoned members panic by design (and are caught by the
-        // supervision layer); keep their backtraces out of the CI log.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !message.contains("injected fault") {
-                prev(info);
-            }
-        }));
-        if let Err(e) = chaos_smoke(options.chaos_seed) {
-            eprintln!("FAIL {e}");
-            failures += 1;
-        }
-        let _ = std::panic::take_hook();
-    }
     if metrics_before.is_some() {
         println!("grid smoke: probed streaming run + warm grid-DP sweep (grid.* counters)");
         if let Err(e) = grid_metrics_smoke() {
@@ -959,7 +577,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "all {} scenarios recorded, replayed, and diffed clean{}{}{}",
+        "all {} scenarios recorded, replayed, and diffed clean{}{}",
         specs.len(),
         if options.fault_seed.is_some() {
             " — and survived injected faults"
@@ -968,11 +586,6 @@ fn main() {
         },
         if options.corpus {
             " — and the corpus swept bit-equal"
-        } else {
-            ""
-        },
-        if options.chaos {
-            " — and the chaos fleet recovered bit-equal"
         } else {
             ""
         },

@@ -165,15 +165,6 @@ pub fn run_with_warm_hint<const N: usize, A: OnlineAlgorithm<N>>(
     }
 }
 
-/// Convenience: runs under the paper's default Move-First order.
-pub fn run_move_first<const N: usize, A: OnlineAlgorithm<N>>(
-    instance: &Instance<N>,
-    algorithm: &mut A,
-    delta: f64,
-) -> RunResult<N> {
-    run(instance, algorithm, delta, ServingOrder::MoveFirst)
-}
-
 /// Execution knobs of the batched engines ([`run_batch_with`],
 /// [`run_streaming_batch_with`]).
 ///
@@ -709,30 +700,6 @@ impl<const N: usize, A: OnlineAlgorithm<N>> StreamingSim<N, A> {
         StepCost { movement, service }
     }
 
-    /// Advances by at most `budget` steps pulled from `next`, stopping
-    /// early when the source runs dry. Returns the number of steps fed.
-    ///
-    /// This is the supervision hook for drivers that must be able to
-    /// cancel a runaway advance: feeding happens in bounded slices, so a
-    /// watchdog (e.g. `msp-scenarios`' session service) checks its step
-    /// budget between slices and stops at a slice boundary — there is no
-    /// mid-step cancellation, and a cancelled advance leaves the
-    /// simulation in an ordinary checkpointable state. Each step uses
-    /// [`StreamingSim::feed`], so budgeted and unbudgeted advances of the
-    /// same step sequence are bit-equal.
-    pub fn feed_budgeted<F>(&mut self, budget: usize, mut next: F) -> usize
-    where
-        F: FnMut() -> Option<Step<N>>,
-    {
-        let mut fed = 0usize;
-        while fed < budget {
-            let Some(step) = next() else { break };
-            self.feed(&step);
-            fed += 1;
-        }
-        fed
-    }
-
     /// Steps consumed so far.
     pub fn steps(&self) -> usize {
         self.steps
@@ -812,38 +779,6 @@ where
     let mut sim = StreamingSim::new(params, algorithm, delta, order);
     for step in steps {
         sim.feed(&step);
-    }
-    sim.finish()
-}
-
-/// [`run_streaming`] with a periodic checkpoint callback: every `every`
-/// steps the callback receives the resumable snapshot and a reference to
-/// the warm algorithm. Multi-million-step runs persist these to survive
-/// interruption.
-///
-/// # Panics
-/// Panics when `every` is zero.
-pub fn run_streaming_with_checkpoints<const N: usize, A, I, F>(
-    params: &StreamParams<N>,
-    steps: I,
-    algorithm: A,
-    delta: f64,
-    order: ServingOrder,
-    every: usize,
-    mut on_checkpoint: F,
-) -> StreamRunResult<N>
-where
-    A: OnlineAlgorithm<N>,
-    I: IntoIterator<Item = Step<N>>,
-    F: FnMut(&StreamCheckpoint<N>, &A),
-{
-    assert!(every > 0, "checkpoint interval must be positive");
-    let mut sim = StreamingSim::new(params, algorithm, delta, order);
-    for step in steps {
-        sim.feed(&step);
-        if sim.steps() % every == 0 {
-            on_checkpoint(&sim.checkpoint(), sim.algorithm());
-        }
     }
     sim.finish()
 }
@@ -1049,7 +984,7 @@ mod tests {
     fn budget_is_enforced_even_for_greedy() {
         let inst = chase_instance(5);
         let mut alg = FollowCenter::new();
-        let res = run_move_first(&inst, &mut alg, 0.0);
+        let res = run(&inst, &mut alg, 0.0, ServingOrder::MoveFirst);
         assert!(res.max_step_used() <= inst.max_move + 1e-9);
     }
 
@@ -1062,7 +997,7 @@ mod tests {
             vec![Step::single(P2::xy(10.0, 0.0))],
         );
         let mut alg = FollowCenter::new();
-        let res = run_move_first(&inst, &mut alg, 1.0);
+        let res = run(&inst, &mut alg, 1.0, ServingOrder::MoveFirst);
         assert!((res.max_step_used() - 2.0).abs() < 1e-9);
     }
 
@@ -1070,7 +1005,7 @@ mod tests {
     fn lazy_has_zero_movement_cost() {
         let inst = chase_instance(8);
         let mut alg = Lazy;
-        let res = run_move_first(&inst, &mut alg, 0.0);
+        let res = run(&inst, &mut alg, 0.0, ServingOrder::MoveFirst);
         assert_eq!(res.cost.movement, 0.0);
         // Service cost: Σ_{i=0..7} (1+i) = 36.
         assert!((res.cost.service - 36.0).abs() < 1e-9);
@@ -1080,7 +1015,7 @@ mod tests {
     fn positions_have_horizon_plus_one_entries() {
         let inst = chase_instance(7);
         let mut alg = MoveToCenter::new();
-        let res = run_move_first(&inst, &mut alg, 0.0);
+        let res = run(&inst, &mut alg, 0.0, ServingOrder::MoveFirst);
         assert_eq!(res.positions.len(), 8);
         assert_eq!(res.cost.per_step.len(), 7);
         assert_eq!(res.positions[0], inst.start);
@@ -1105,7 +1040,7 @@ mod tests {
         let steps = vec![Step::repeated(P2::xy(3.0, 0.0), 4); 50];
         let inst = Instance::new(2.0, 1.0, P2::origin(), steps);
         let mut alg = MoveToCenter::new();
-        let res = run_move_first(&inst, &mut alg, 0.0);
+        let res = run(&inst, &mut alg, 0.0, ServingOrder::MoveFirst);
         let last = res.positions.last().unwrap();
         assert!(last.distance(&P2::xy(3.0, 0.0)) < 1e-9);
         // Tail steps are free.
@@ -1117,8 +1052,8 @@ mod tests {
     fn deterministic_reruns_agree() {
         let inst = chase_instance(20);
         let mut alg = MoveToCenter::new();
-        let a = run_move_first(&inst, &mut alg, 0.3);
-        let b = run_move_first(&inst, &mut alg, 0.3);
+        let a = run(&inst, &mut alg, 0.3, ServingOrder::MoveFirst);
+        let b = run(&inst, &mut alg, 0.3, ServingOrder::MoveFirst);
         assert_eq!(a.positions, b.positions);
         assert_eq!(a.total_cost(), b.total_cost());
     }
@@ -1250,23 +1185,6 @@ mod tests {
         assert_eq!(res.movement, full.movement);
         assert_eq!(res.service, full.service);
         assert_eq!(res.final_position, full.final_position);
-    }
-
-    #[test]
-    fn periodic_checkpoints_fire_at_the_interval() {
-        let inst = chase_instance(20);
-        let mut seen = Vec::new();
-        let res = run_streaming_with_checkpoints(
-            &inst.params(),
-            inst.steps.iter().cloned(),
-            MoveToCenter::new(),
-            0.0,
-            ServingOrder::MoveFirst,
-            6,
-            |cp, _alg| seen.push(cp.step),
-        );
-        assert_eq!(seen, vec![6, 12, 18]);
-        assert_eq!(res.steps, 20);
     }
 
     #[test]

@@ -1102,10 +1102,11 @@ fn smawk<F: Fn(usize, usize) -> DtEntry>(
 /// * **j1 live at k1, j2 live at k1** — both keys are cone values
 ///   `g_j(x) = base[j] + D·√((x−x_j)² + C²)`. The difference
 ///   `g_{j1}(x) − g_{j2}(x)` is nondecreasing in `x` for `x_{j1} <
-///   x_{j2}` (same-slope-asymptote cones; the
-///   [`ConeEnvelope`](crate::envelope::ConeEnvelope) crossing argument),
-///   so `g_{j1}(x_{k1}) > g_{j2}(x_{k1})` implies the same at
-///   `x_{k2} > x_{k1}` in real arithmetic — float rounding can flip
+///   x_{j2}`: its derivative is `D·(h(x−x_{j1}) − h(x−x_{j2}))` with
+///   `h(u) = u/√(u² + C²)` nondecreasing and `x−x_{j1} > x−x_{j2}`, so
+///   two such cones cross at most once, and `g_{j1}(x_{k1}) >
+///   g_{j2}(x_{k1})` implies the same at `x_{k2} > x_{k1}` in real
+///   arithmetic — float rounding can flip
 ///   only tie-level outcomes, which the exactness contract already
 ///   absorbs (never below the oracle, ≤ 1e-9 relative). At `k2`, if
 ///   `j1` has exited `k1`'s window it exits leftward (`j1 ≤ k1 + w`

@@ -681,6 +681,7 @@ impl<const N: usize> DurableJournal<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msp_core::baselines::FollowCenter;
     use msp_core::model::Step;
     use msp_core::mtc::MoveToCenter;
     use msp_geometry::P2;
@@ -835,15 +836,19 @@ mod tests {
         assert!(rec.torn_tail.expect("loud").contains("out of order"));
     }
 
-    #[test]
-    fn resume_from_journal_is_bit_equal() {
+    /// Journals `make()`'s run, crashes it mid-stream, resumes from the
+    /// recovered journal, and checks the finish against the uninterrupted
+    /// run bit for bit.
+    fn assert_resume_from_journal_is_bit_equal<A>(make: impl Fn() -> A)
+    where
+        A: OnlineAlgorithm<2> + WarmStateCodec,
+    {
         let p = params();
         let total = 40usize;
         let crash_at = 17usize;
 
         // Uninterrupted reference run.
-        let mut reference =
-            StreamingSim::new(&p, MoveToCenter::<2>::new(), 0.25, ServingOrder::MoveFirst);
+        let mut reference = StreamingSim::new(&p, make(), 0.25, ServingOrder::MoveFirst);
         for t in 0..total {
             reference.feed(&drift_step(t));
         }
@@ -852,8 +857,7 @@ mod tests {
         // Journaled run, killed after `crash_at` steps.
         let mut writer =
             JournalWriter::<2, _>::new(Vec::new(), &p, 0.25, ServingOrder::MoveFirst).unwrap();
-        let mut sim =
-            StreamingSim::new(&p, MoveToCenter::<2>::new(), 0.25, ServingOrder::MoveFirst);
+        let mut sim = StreamingSim::new(&p, make(), 0.25, ServingOrder::MoveFirst);
         for t in 0..crash_at {
             sim.feed(&drift_step(t));
             writer.append_sim(&sim).unwrap();
@@ -863,7 +867,7 @@ mod tests {
 
         let rec = recover_journal::<2>(&bytes).unwrap();
         assert_eq!(rec.checkpoint.step, crash_at);
-        let mut resumed = resume_from_journal(&rec, MoveToCenter::<2>::new()).unwrap();
+        let mut resumed = resume_from_journal(&rec, make()).unwrap();
         for t in rec.checkpoint.step..total {
             resumed.feed(&drift_step(t));
         }
@@ -877,6 +881,14 @@ mod tests {
                 want.final_position[i].to_bits()
             );
         }
+    }
+
+    /// Move-to-Center carries a warm median state; Follow-Center's warm
+    /// state is empty, so its resume rests on the checkpoint alone.
+    #[test]
+    fn resume_from_journal_is_bit_equal() {
+        assert_resume_from_journal_is_bit_equal(MoveToCenter::<2>::new);
+        assert_resume_from_journal_is_bit_equal(FollowCenter::new);
     }
 
     #[test]

@@ -29,10 +29,6 @@
 //!   reproducible test case.
 //! * [`durable`] — temp-file + atomic-rename commit discipline, so a
 //!   final filename never points at half-written bytes.
-//! * [`service`] — the supervised session tier: thousands of named,
-//!   checkpointed sessions multiplexed over a bounded resident set with
-//!   LRU eviction, journal spill, retry/quarantine supervision, and
-//!   crash-anywhere recovery ([`service::recover_service`]).
 //! * [`corpus`] — the trace corpus tier: every registry scenario
 //!   recorded once as a block v3 trace (delta-encoded, CRC-guarded,
 //!   O(1)-seekable), then scanned, replayed, and bit-exactly diffed in
@@ -45,7 +41,6 @@ pub mod engine;
 pub mod fault;
 pub mod journal;
 pub mod registry;
-pub mod service;
 pub mod stream;
 pub mod trace;
 
@@ -66,10 +61,6 @@ pub use journal::{
 pub use registry::{
     lookup, lookup_or_err, must_lookup, registry, RegistryError, ScenarioError, ScenarioKnobs,
     ScenarioSpec,
-};
-pub use service::{
-    recover_service, QuarantineReport, RecoveredSession, RecoveryReport, ServiceConfig,
-    SessionError, SessionProgress, SessionService, ADVANCE_BLOCK,
 };
 pub use stream::{collect_instance, GeneratedStream, InstanceStream, RequestStream, StreamSteps};
 pub use trace::{

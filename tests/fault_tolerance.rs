@@ -18,8 +18,7 @@
 //! * **Sibling-journal isolation** — two sessions interleaving appends
 //!   into sibling files in one directory recover independently: each
 //!   file yields its own newest committed generation, and a torn tail
-//!   on one never disturbs the other (the session service's per-session
-//!   spill-file invariant).
+//!   on one never disturbs the other.
 
 use mobile_server::analysis::sweep::{try_parallel_map_indexed, LaneError};
 use mobile_server::core::cost::ServingOrder;
@@ -37,7 +36,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// The 2-D scenario families the crash/resume property ranges over.
-const FAMILIES: [&str; 3] = ["walk-plane", "edge-drift", "car-fleet"];
+const FAMILIES: [&str; 4] = ["walk-plane", "edge-drift", "car-fleet", "fleet-chase"];
 
 /// Runs `scenario` to `horizon` uninterrupted and returns the final
 /// checkpoint — the ground truth a resumed session must reproduce
@@ -131,9 +130,7 @@ proptest! {
     /// Two sessions journaling into **sibling files in one directory**
     /// recover in isolation: whatever the append interleaving, each file
     /// yields exactly its own session's newest committed generation, and
-    /// a torn tail on one file never disturbs the other's recovery. This
-    /// is the invariant the session service's per-session spill files
-    /// lean on.
+    /// a torn tail on one file never disturbs the other's recovery.
     #[test]
     fn sibling_journals_recover_in_isolation(
         schedule in proptest::collection::vec(0usize..2, 4..16),

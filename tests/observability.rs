@@ -17,9 +17,7 @@
 use mobile_server::analysis::obs;
 use mobile_server::core::cost::ServingOrder;
 use mobile_server::core::mtc::MoveToCenter;
-use mobile_server::core::simulator::{
-    run_batch_with, run_streaming_batch_with, BatchOptions, StreamCheckpoint,
-};
+use mobile_server::core::simulator::{run_batch_with, run_streaming_batch_with, BatchOptions};
 use mobile_server::offline::grid::grid_optimum;
 use mobile_server::offline::probe::{ProbeOptions, RatioProbe};
 use mobile_server::offline::solve_line;
@@ -197,81 +195,4 @@ fn probed_run_advances_the_registry_monotonically() {
     for w in samples.windows(2) {
         assert!(w[1].lower_bound >= w[0].lower_bound);
     }
-}
-
-/// The session service is observation-only too: a fleet driven through
-/// eviction churn, journal spills, and supervised batches produces
-/// bit-equal checkpoints with the registry on and off — while the
-/// enabled pass actually moves every `service.*` counter it claims to.
-#[test]
-fn service_results_are_bit_equal_with_metrics_on_and_off() {
-    use mobile_server::scenarios::{ServiceConfig, SessionService};
-    use std::path::PathBuf;
-
-    const HORIZON: usize = 64;
-    const ROUNDS: usize = 4;
-    let members: [(&str, u64); 3] = [("walk-plane", 41), ("edge-drift", 42), ("car-fleet", 43)];
-
-    let drive = |journal_dir: PathBuf| -> Vec<StreamCheckpoint<2>> {
-        std::fs::create_dir_all(&journal_dir).unwrap();
-        let config = ServiceConfig::new(2).with_journal_dir(&journal_dir);
-        let mut service = SessionService::<2, MoveToCenter<2>>::new(config);
-        for (family, seed) in members {
-            service
-                .open_session(
-                    format!("{family}#{seed}"),
-                    must_lookup(family)
-                        .stream_with::<2>(seed, &ScenarioKnobs::horizon(HORIZON))
-                        .unwrap(),
-                    MoveToCenter::new(),
-                    0.2,
-                    ServingOrder::MoveFirst,
-                )
-                .unwrap();
-        }
-        for _ in 0..ROUNDS {
-            let requests: Vec<(String, usize)> = members
-                .iter()
-                .map(|(family, seed)| (format!("{family}#{seed}"), HORIZON / ROUNDS))
-                .collect();
-            for result in service.advance_batch(&requests) {
-                result.expect("healthy fleet");
-            }
-        }
-        let out = members
-            .iter()
-            .map(|(family, seed)| service.checkpoint(&format!("{family}#{seed}")).unwrap())
-            .collect();
-        let _ = std::fs::remove_dir_all(&journal_dir);
-        out
-    };
-
-    let scratch = std::env::temp_dir().join(format!("msp_obs_service_{}", std::process::id()));
-    let _guard = TOGGLE.lock().unwrap();
-    obs::enable();
-    let before = obs::snapshot();
-    let on = drive(scratch.join("on"));
-    let after = obs::snapshot();
-    obs::disable();
-    let off = drive(scratch.join("off"));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    assert_eq!(on.len(), off.len());
-    for (a, b) in on.iter().zip(&off) {
-        assert_eq!(a.step, b.step);
-        assert_eq!(a.position, b.position);
-        assert_eq!(a.movement.to_bits(), b.movement.to_bits());
-        assert_eq!(a.service.to_bits(), b.service.to_bits());
-        assert_eq!(a.max_step_used.to_bits(), b.max_step_used.to_bits());
-    }
-
-    // The instrumented pass observed what it did: three sessions on a
-    // two-slot budget must evict, spill, and resume.
-    let delta = |name: &str| after.counter(name).unwrap() - before.counter(name).unwrap();
-    assert_eq!(delta("service.sessions"), members.len() as u64);
-    assert!(delta("service.evictions") >= 1);
-    assert!(delta("service.spills") >= 1);
-    assert!(delta("service.resumes") >= 1);
-    assert_eq!(delta("service.quarantines"), 0);
-    assert_eq!(delta("service.degradations"), 0);
 }
