@@ -64,7 +64,9 @@
 //! * `--check <recorded.json>` — after measuring, compare each bench
 //!   against the speedup recorded under the same name in the given file
 //!   and exit non-zero if any falls below 0.8× of its recorded value
-//!   (the CI `perf_smoke` regression gate),
+//!   (the CI `perf_smoke` regression gate). A pair that reads below its
+//!   floor is measured twice more and gated on the median of the three
+//!   readings; the written record keeps the first reading,
 //! * `--help` — usage summary plus a pointer to `docs/BENCHMARKS.md`.
 //!
 //! Release mode only — debug timings are meaningless.
@@ -1055,6 +1057,8 @@ Flags:
   --quick            reduced CI smoke shapes (default output bench-ci.json)
   --check <file>     exit non-zero if any tracked speedup falls below 0.8x
                      of the value recorded under the same name in <file>
+                     (a pair under its floor is re-measured twice and
+                     gated on the median of its three readings)
   --help             this message
 
 The default output is BENCH_10.json. docs/BENCHMARKS.md explains how the
@@ -1090,39 +1094,46 @@ fn main() {
         Shapes::full()
     };
 
-    let comparisons = vec![
-        service_kernel_comparison(64, "kernel_service_cost_n64", &sh),
-        service_kernel_comparison(256, "kernel_service_cost_n256", &sh),
-        dp_serve_scan_comparison(&sh),
-        weiszfeld_kernel_comparison(&sh),
-        median_comparison(16, "median_drift_n16", &sh),
-        median_comparison(64, "median_drift_n64", &sh),
-        batch_comparison(
-            &sh,
-            pinned_seeded_options(),
-            "multi_delta_sweep",
-            "cross-lane seeded, one pinned lane group — machine-independent shape",
-        ),
-        batch_comparison(
-            &sh,
-            BatchOptions::strict(),
-            "multi_delta_sweep_strict",
-            "unseeded strict lanes",
-        ),
-        streaming_batch_comparison(&sh),
-        grid_comparison(sh.grid_cells[0], &sh),
-        grid_comparison(sh.grid_cells[1], &sh),
-        grid_smawk_comparison(sh.grid_cells[0], &sh),
-        grid_smawk_comparison(sh.grid_cells[1], &sh),
-        sweep_warm_dp_comparison(&sh),
-        executor_fanout_comparison(&sh),
-        grid_dt_par_comparison(sh.grid_cells[0], &sh),
-        grid_dt_par_comparison(sh.grid_cells[1], &sh),
-        warm_fan_comparison(&sh),
-        obs_overhead_comparison(&sh),
-        corpus_seek_vs_scan(&sh),
-        corpus_replay_comparison(&sh),
+    // Each pair is a closure so `--check` can measure it again.
+    let sh = &sh;
+    let benches: Vec<Box<dyn Fn() -> Comparison + '_>> = vec![
+        Box::new(move || service_kernel_comparison(64, "kernel_service_cost_n64", sh)),
+        Box::new(move || service_kernel_comparison(256, "kernel_service_cost_n256", sh)),
+        Box::new(move || dp_serve_scan_comparison(sh)),
+        Box::new(move || weiszfeld_kernel_comparison(sh)),
+        Box::new(move || median_comparison(16, "median_drift_n16", sh)),
+        Box::new(move || median_comparison(64, "median_drift_n64", sh)),
+        Box::new(move || {
+            batch_comparison(
+                sh,
+                pinned_seeded_options(),
+                "multi_delta_sweep",
+                "cross-lane seeded, one pinned lane group — machine-independent shape",
+            )
+        }),
+        Box::new(move || {
+            batch_comparison(
+                sh,
+                BatchOptions::strict(),
+                "multi_delta_sweep_strict",
+                "unseeded strict lanes",
+            )
+        }),
+        Box::new(move || streaming_batch_comparison(sh)),
+        Box::new(move || grid_comparison(sh.grid_cells[0], sh)),
+        Box::new(move || grid_comparison(sh.grid_cells[1], sh)),
+        Box::new(move || grid_smawk_comparison(sh.grid_cells[0], sh)),
+        Box::new(move || grid_smawk_comparison(sh.grid_cells[1], sh)),
+        Box::new(move || sweep_warm_dp_comparison(sh)),
+        Box::new(move || executor_fanout_comparison(sh)),
+        Box::new(move || grid_dt_par_comparison(sh.grid_cells[0], sh)),
+        Box::new(move || grid_dt_par_comparison(sh.grid_cells[1], sh)),
+        Box::new(move || warm_fan_comparison(sh)),
+        Box::new(move || obs_overhead_comparison(sh)),
+        Box::new(move || corpus_seek_vs_scan(sh)),
+        Box::new(move || corpus_replay_comparison(sh)),
     ];
+    let comparisons: Vec<Comparison> = benches.iter().map(|b| b()).collect();
 
     for c in &comparisons {
         println!(
@@ -1154,7 +1165,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("read {recorded_path}: {e}"));
         let recorded = recorded_speedups(&recorded);
         let mut failed = false;
-        for c in &comparisons {
+        for (c, bench) in comparisons.iter().zip(&benches) {
             let Some((_, want, rec_pool)) = recorded.iter().find(|(n, _, _)| *n == c.name) else {
                 println!("check: {:<26} (not in {recorded_path}, skipped)", c.name);
                 continue;
@@ -1201,16 +1212,29 @@ fn main() {
                 continue;
             }
             let floor = 0.8 * want;
-            let got = c.speedup();
+            let first = c.speedup();
+            // A pair that reads below its floor is measured twice more and
+            // gated on the median of the three readings, so one slow
+            // phase of a bimodal pair does not fail the gate by itself.
+            let (got, readings) = if first < floor {
+                let mut r = [first, bench().speedup(), bench().speedup()];
+                r.sort_by(f64::total_cmp);
+                (
+                    r[1],
+                    format!(" (median of {:.2}×, {:.2}×, {:.2}×)", r[0], r[1], r[2]),
+                )
+            } else {
+                (first, String::new())
+            };
             if got < floor {
                 println!(
-                    "check: {:<26} REGRESSED — {got:.2}× < 0.8 × recorded {want:.2}×",
+                    "check: {:<26} REGRESSED — {got:.2}× < 0.8 × recorded {want:.2}×{readings}",
                     c.name
                 );
                 failed = true;
             } else {
                 println!(
-                    "check: {:<26} ok — {got:.2}× vs recorded {want:.2}× (floor {floor:.2}×)",
+                    "check: {:<26} ok — {got:.2}× vs recorded {want:.2}× (floor {floor:.2}×){readings}",
                     c.name
                 );
             }

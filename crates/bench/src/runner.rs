@@ -88,10 +88,13 @@ pub fn line_ratio<A: OnlineAlgorithm<1>>(
     competitive_ratio(alg_cost(instance, alg, delta, order), opt)
 }
 
-/// Competitive ratio of `alg` against the convex-solver optimum estimate
-/// (an upper bound on OPT, so the reported ratio is a lower bound on the
-/// true one — conservative in the right direction for upper-bound
-/// experiments is the *reverse*; the solver gap is documented per run).
+/// Competitive ratio of `alg` against the convex-solver optimum estimate.
+///
+/// The solver returns the cost of a feasible trajectory, an upper bound
+/// on OPT, so the reported ratio is a **lower** bound on the true ratio.
+/// That is the safe side for a lower-bound claim, but an upper-bound
+/// claim (ratio ≤ c) needs a lower bound on OPT instead, which this does
+/// not give. The solver's gap to OPT is reported per run.
 pub fn convex_ratio<const N: usize, A: OnlineAlgorithm<N>>(
     instance: &Instance<N>,
     alg: &mut A,

@@ -29,22 +29,20 @@ pub struct LineSolution {
 
 /// Computes the exact offline optimum value for a 1-D instance.
 ///
-/// Runs in `O(Σ_t k_t)` where `k_t` is the breakpoint count of the
-/// cost-to-go at step `t` (kept small by collinear pruning).
+/// Each step costs `O(k_t)`, where `k_t` is the breakpoint count of the
+/// cost-to-go at step `t`, and allocates nothing once its buffers have
+/// grown. Collinear pruning does not keep `k_t` small: the steep tails
+/// near the reachable domain's ends gain a breakpoint per step, so
+/// `k_t ≈ 1.4·t` on a random walk and `≈ t` on the Theorem 1 adversary,
+/// and a solve costs `Θ(T²)`. ROADMAP item 3 (the "slope trick") removes
+/// that growth.
 pub fn solve_line(instance: &Instance<1>, order: ServingOrder) -> LineSolution {
-    let mut f = ConvexPwl::point(instance.start.x());
+    let mut dp =
+        IncrementalLineOpt::unchecked(instance.d, instance.max_move, instance.start.x(), order);
     for step in &instance.steps {
-        let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
-        f = match order {
-            ServingOrder::MoveFirst => f
-                .move_transform(instance.d, instance.max_move)
-                .add_service(&reqs),
-            ServingOrder::AnswerFirst => f
-                .add_service(&reqs)
-                .move_transform(instance.d, instance.max_move),
-        };
+        dp.push(step.requests.iter().map(|v| v.x()));
     }
-    let (cost, arg_lo, arg_hi) = f.min();
+    let (cost, arg_lo, arg_hi) = dp.f.min();
     LineSolution {
         cost,
         final_position: (arg_lo + arg_hi) / 2.0,
@@ -68,16 +66,12 @@ pub fn solve_line_with_trajectory(
     // Forward pass, keeping every cost-to-go. `pre_move[t]` is the function
     // *before* the move of step t is resolved (what the backward pass needs
     // to price a chosen landing point), `post[t]` after the full step.
+    let mut dp = IncrementalLineOpt::unchecked(d, m, instance.start.x(), order);
     let mut post: Vec<ConvexPwl> = Vec::with_capacity(instance.horizon() + 1);
-    post.push(ConvexPwl::point(instance.start.x()));
+    post.push(dp.f.clone());
     for step in &instance.steps {
-        let reqs: Vec<f64> = step.requests.iter().map(|v| v.x()).collect();
-        let prev = post.last().unwrap();
-        let next = match order {
-            ServingOrder::MoveFirst => prev.move_transform(d, m).add_service(&reqs),
-            ServingOrder::AnswerFirst => prev.add_service(&reqs).move_transform(d, m),
-        };
-        post.push(next);
+        dp.push(step.requests.iter().map(|v| v.x()));
+        post.push(dp.f.clone());
     }
 
     let (cost, arg_lo, arg_hi) = post[instance.horizon()].min();
@@ -90,18 +84,17 @@ pub fn solve_line_with_trajectory(
     // constant w.r.t. q).
     for t in (1..=instance.horizon()).rev() {
         let p = positions[t].x();
-        let reqs: Vec<f64> = instance.steps[t - 1]
-            .requests
-            .iter()
-            .map(|v| v.x())
-            .collect();
         let candidate_fn = match order {
-            ServingOrder::MoveFirst => post[t - 1].clone(),
-            ServingOrder::AnswerFirst => post[t - 1].add_service(&reqs),
+            ServingOrder::MoveFirst => &post[t - 1],
+            ServingOrder::AnswerFirst => {
+                dp.sort_requests(instance.steps[t - 1].requests.iter().map(|v| v.x()));
+                post[t - 1].add_service_into(&dp.reqs, &mut dp.spare);
+                &dp.spare
+            }
         };
         // Minimize candidate_fn(q) + D·|p − q| over the reachable window.
         let (lo, hi) = (p - m, p + m);
-        let q = argmin_with_move(&candidate_fn, p, d, lo, hi);
+        let q = argmin_with_move(candidate_fn, p, d, lo, hi);
         positions[t - 1] = P1::new([q]);
     }
     positions[0] = instance.start;
@@ -142,7 +135,13 @@ pub struct IncrementalLineOpt {
     d: f64,
     m: f64,
     order: ServingOrder,
+    /// The cost-to-go of the processed prefix.
     f: ConvexPwl,
+    /// The buffer each operation writes into before it is swapped with
+    /// `f`, so a step allocates nothing once both have grown.
+    spare: ConvexPwl,
+    /// The current step's requests, sorted by [`f64::total_cmp`].
+    reqs: Vec<f64>,
     steps: usize,
 }
 
@@ -152,24 +151,62 @@ impl IncrementalLineOpt {
     pub fn new(d: f64, m: f64, start: f64, order: ServingOrder) -> Self {
         assert!(d >= 1.0, "D must be ≥ 1");
         assert!(m > 0.0, "m must be positive");
+        Self::unchecked(d, m, start, order)
+    }
+
+    /// [`IncrementalLineOpt::new`] for parameters an [`Instance`] has
+    /// already validated.
+    fn unchecked(d: f64, m: f64, start: f64, order: ServingOrder) -> Self {
         IncrementalLineOpt {
             d,
             m,
             order,
             f: ConvexPwl::point(start),
+            spare: ConvexPwl::point(start),
+            reqs: Vec::new(),
             steps: 0,
         }
     }
 
     /// Processes the next step's requests (positions on the line).
     pub fn push_step(&mut self, requests: &[f64]) {
-        self.f = match self.order {
-            ServingOrder::MoveFirst => self.f.move_transform(self.d, self.m).add_service(requests),
-            ServingOrder::AnswerFirst => {
-                self.f.add_service(requests).move_transform(self.d, self.m)
+        self.push(requests.iter().copied());
+    }
+
+    /// One DP step: `f ← move(f) + service` (Move-First) or
+    /// `f ← move(f + service)` (Answer-First), each operation writing into
+    /// `spare` and swapping it in. An empty batch adds nothing.
+    fn push(&mut self, requests: impl Iterator<Item = f64>) {
+        self.sort_requests(requests);
+        match self.order {
+            ServingOrder::MoveFirst => {
+                self.apply_move();
+                self.apply_service();
             }
-        };
+            ServingOrder::AnswerFirst => {
+                self.apply_service();
+                self.apply_move();
+            }
+        }
         self.steps += 1;
+    }
+
+    fn sort_requests(&mut self, requests: impl Iterator<Item = f64>) {
+        self.reqs.clear();
+        self.reqs.extend(requests);
+        self.reqs.sort_unstable_by(f64::total_cmp);
+    }
+
+    fn apply_move(&mut self) {
+        self.f.move_transform_into(self.d, self.m, &mut self.spare);
+        std::mem::swap(&mut self.f, &mut self.spare);
+    }
+
+    fn apply_service(&mut self) {
+        if !self.reqs.is_empty() {
+            self.f.add_service_into(&self.reqs, &mut self.spare);
+            std::mem::swap(&mut self.f, &mut self.spare);
+        }
     }
 
     /// The exact offline optimum of the prefix processed so far.
@@ -231,8 +268,10 @@ fn argmin_with_move(g: &ConvexPwl, p: f64, d: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pwl::oracle;
     use msp_core::cost::first_move_violation;
     use msp_core::model::{Instance, Step};
+    use msp_scenarios::{materialize, must_lookup, ScenarioKnobs};
 
     fn inst(d: f64, m: f64, reqs: &[&[f64]]) -> Instance<1> {
         let steps = reqs
@@ -404,5 +443,93 @@ mod tests {
         let s = solve_line(&i, ServingOrder::MoveFirst);
         // After 10 steps the server can reach 5; the optimum parks there.
         assert!((s.final_position - 5.0).abs() < 1e-9);
+    }
+
+    /// One step of `solve_line` as it was: the oracle operations, one
+    /// fresh function per operation.
+    fn oracle_step(f: &ConvexPwl, i: &Instance<1>, t: usize, order: ServingOrder) -> ConvexPwl {
+        let reqs: Vec<f64> = i.steps[t].requests.iter().map(|v| v.x()).collect();
+        match order {
+            ServingOrder::MoveFirst => {
+                oracle::add_service(&oracle::move_transform(f, i.d, i.max_move), &reqs)
+            }
+            ServingOrder::AnswerFirst => {
+                oracle::move_transform(&oracle::add_service(f, &reqs), i.d, i.max_move)
+            }
+        }
+    }
+
+    /// The final cost-to-go of the oracle fold.
+    fn oracle_fold(i: &Instance<1>, order: ServingOrder) -> ConvexPwl {
+        (0..i.horizon()).fold(ConvexPwl::point(i.start.x()), |f, t| {
+            oracle_step(&f, i, t, order)
+        })
+    }
+
+    const LINE_FAMILIES: [&str; 4] = ["walk-line", "adv-thm1", "adv-thm2", "regime-shift-line"];
+    const ORDERS: [ServingOrder; 2] = [ServingOrder::MoveFirst, ServingOrder::AnswerFirst];
+
+    fn family(name: &str, seed: u64, horizon: usize) -> Instance<1> {
+        materialize::<1>(&must_lookup(name), seed, &ScenarioKnobs::horizon(horizon)).unwrap()
+    }
+
+    #[test]
+    fn solve_line_is_bit_equal_to_the_oracle_fold() {
+        for name in LINE_FAMILIES {
+            for (seed, horizon) in [(1, 1000), (2, 300), (3, 64)] {
+                let i = family(name, seed, horizon);
+                for order in ORDERS {
+                    let want = oracle_fold(&i, order).min();
+                    let got = solve_line(&i, order);
+                    let tag = format!("{name} seed {seed} T={horizon} {order:?}");
+                    assert_eq!(got.cost.to_bits(), want.0.to_bits(), "{tag}: cost");
+                    let mid = (want.1 + want.2) / 2.0;
+                    assert_eq!(got.final_position.to_bits(), mid.to_bits(), "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trajectory_is_bit_equal_to_the_parent_solver() {
+        for name in LINE_FAMILIES {
+            let i = family(name, 4, 120);
+            for order in ORDERS {
+                // Every step of the rolling DP matches the oracle fold.
+                let mut want = ConvexPwl::point(i.start.x());
+                let mut dp = IncrementalLineOpt::new(i.d, i.max_move, i.start.x(), order);
+                for t in 0..i.horizon() {
+                    want = oracle_step(&want, &i, t, order);
+                    dp.push(i.steps[t].requests.iter().map(|v| v.x()));
+                    assert_eq!(dp.f.bits(), want.bits(), "{name} {order:?} t={t}");
+                }
+                // The trajectory solver stores those same functions, so
+                // its optimum and final position are the batch solver's.
+                let (sol, traj) = solve_line_with_trajectory(&i, order);
+                let batch = solve_line(&i, order);
+                assert_eq!(sol.cost.to_bits(), batch.cost.to_bits(), "{name} {order:?}");
+                assert_eq!(traj.len(), i.horizon() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_opt_is_bit_equal_to_solve_line_on_every_prefix() {
+        for name in LINE_FAMILIES {
+            let i = family(name, 5, 150);
+            for order in ORDERS {
+                let mut inc = IncrementalLineOpt::new(i.d, i.max_move, i.start.x(), order);
+                for t in 0..i.horizon() {
+                    let reqs: Vec<f64> = i.steps[t].requests.iter().map(|v| v.x()).collect();
+                    inc.push_step(&reqs);
+                    let batch = solve_line(&i.prefix(t + 1), order).cost;
+                    assert_eq!(
+                        inc.current_opt().to_bits(),
+                        batch.to_bits(),
+                        "{name} {order:?} t={t}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -599,7 +599,9 @@ mod tests {
 
     #[test]
     fn plane_bound_never_exceeds_a_certified_upper_bound_on_opt() {
-        // grid_optimum restricts OPT's positions, so it is ≥ OPT ≥ probe.
+        // grid_optimum is not a certified bound (see the grid module
+        // docs); here it is an independent solver the probe must stay
+        // under, a cross-check rather than a certificate.
         for order in [ServingOrder::MoveFirst, ServingOrder::AnswerFirst] {
             let inst = plane_instance(48);
             let mut probe = RatioProbe::<2>::new(

@@ -18,6 +18,14 @@
 //! Both preserve convexity, so the invariant — secant slopes nondecreasing
 //! — is checked in debug builds after every operation.
 //!
+//! The line DP runs both through their `_into` forms, which write into a
+//! caller's buffer: each is one linear pass over the breakpoints (the
+//! move transform bisects for `a` and `b`; service addition is a merge
+//! walk) followed by an in-place canonicalization, so a DP step allocates
+//! nothing once its buffers have grown. The allocating forms wrap them.
+//! The test-only `oracle` module keeps a direct form of both operations
+//! as the reference the tests require them to match bit for bit.
+//!
 //! Because the initial function is the indicator of the start position
 //! (domain a single point) and every transform widens the domain by `m`,
 //! all domains are finite intervals; the function is `+∞` outside.
@@ -55,6 +63,20 @@ impl ConvexPwl {
         let f = ConvexPwl { xs, ys };
         f.check_convex(); // unconditional: this is a public constructor
         f
+    }
+
+    /// An empty buffer for an operation's output: not a valid function
+    /// until an operation writes into it.
+    fn with_capacity(n: usize) -> Self {
+        ConvexPwl {
+            xs: Vec::with_capacity(n),
+            ys: Vec::with_capacity(n),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.xs.clear();
+        self.ys.clear();
     }
 
     /// Domain `[lo, hi]` of finiteness.
@@ -155,170 +177,186 @@ impl ConvexPwl {
 
     /// The move transform `h(p) = min_{|p−q| ≤ m} f(q) + D·|p−q|` described
     /// in the module docs. `m > 0`, `d ≥ 0`.
+    ///
+    /// Allocates the result; the line DP calls
+    /// `move_transform_into` with a reused buffer instead.
     pub fn move_transform(&self, d: f64, m: f64) -> ConvexPwl {
+        let mut out = ConvexPwl::with_capacity(self.len() + 2);
+        self.move_transform_into(d, m, &mut out);
+        out
+    }
+
+    /// [`ConvexPwl::move_transform`] written into `out`, whose previous
+    /// contents are discarded and whose allocation is reused.
+    pub(crate) fn move_transform_into(&self, d: f64, m: f64, out: &mut ConvexPwl) {
         assert!(m > 0.0, "movement limit must be positive");
         assert!(d >= 0.0, "movement weight must be non-negative");
-        let n = self.xs.len();
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let n = xs.len();
         let (dlo, dhi) = self.domain();
 
-        // Locate a: the leftmost point where the right-slope is ≥ −D, and
-        // b: the rightmost point where the left-slope is ≤ D. Slopes of
-        // segment i (between breakpoints i and i+1).
-        let slope = |i: usize| (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i]);
-        // index of first breakpoint from which slopes are ≥ −D
-        let mut ia = 0;
-        while ia + 1 < n && slope(ia) < -d {
-            ia += 1;
-        }
-        // index of last breakpoint up to which slopes are ≤ D
-        let mut ib = n - 1;
-        while ib > 0 && slope(ib - 1) > d {
-            ib -= 1;
-        }
-        // Convexity guarantees ia ≤ ib.
-        debug_assert!(ia <= ib);
-        let a = self.xs[ia];
-        let b = self.xs[ib];
-        let fa = self.ys[ia];
-        let fb = self.ys[ib];
+        // Locate a: the leftmost breakpoint from which the right-slope is
+        // ≥ −D, and b: the rightmost up to which the left-slope is ≤ D.
+        // Segment i joins breakpoints i and i+1; convexity makes its slope
+        // nondecreasing in i, so both searches bisect over the segments.
+        let slope = |i: usize| (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]);
+        let ia = first_false(0, n - 1, |i| slope(i) < -d);
+        // Every slope left of `ia` is < −D ≤ D, so `b` lies at or after `a`.
+        let ib = first_false(ia, n - 1, |i| slope(i) <= d);
+        let (a, fa) = (xs[ia], ys[ia]);
+        let (b, fb) = (xs[ib], ys[ib]);
+        let lift = d * m;
 
-        let mut xs = Vec::with_capacity(n + 4);
-        let mut ys = Vec::with_capacity(n + 4);
-
+        out.clear();
         // Steep left tail (slopes < −D): original breakpoints shifted left
         // by m, lifted by D·m — for p < a − m the constrained optimum is a
         // full-budget move to q = p + m.
-        for i in 0..ia {
-            xs.push(self.xs[i] - m);
-            ys.push(self.ys[i] + d * m);
-        }
-        // Slope −D connector on [a − m, a].
-        xs.push(a - m);
-        ys.push(fa + d * m);
+        out.xs.extend(xs[..ia].iter().map(|x| x - m));
+        out.ys.extend(ys[..ia].iter().map(|y| y + lift));
+        // Slope −D connector on [a − m, a] (a − m < a strictly: m > 0).
+        out.xs.push(a - m);
+        out.ys.push(fa + lift);
         // The untouched middle [a, b] (slopes within [−D, D]): stay put.
-        for i in ia..=ib {
-            // Avoid duplicating `a` when it already equals the connector
-            // endpoint — cannot happen since m > 0, so a − m < a strictly.
-            xs.push(self.xs[i]);
-            ys.push(self.ys[i]);
-        }
+        out.xs.extend_from_slice(&xs[ia..=ib]);
+        out.ys.extend_from_slice(&ys[ia..=ib]);
         // Slope +D connector on [b, b + m].
-        xs.push(b + m);
-        ys.push(fb + d * m);
+        out.xs.push(b + m);
+        out.ys.push(fb + lift);
         // Steep right tail shifted right by m.
-        for i in ib + 1..n {
-            xs.push(self.xs[i] + m);
-            ys.push(self.ys[i] + d * m);
-        }
+        out.xs.extend(xs[ib + 1..].iter().map(|x| x + m));
+        out.ys.extend(ys[ib + 1..].iter().map(|y| y + lift));
 
-        debug_assert!(xs[0] <= dlo - m + 1e-9 && *xs.last().unwrap() >= dhi + m - 1e-9);
-        let mut out = ConvexPwl { xs, ys };
+        debug_assert!(out.xs[0] <= dlo - m + 1e-9 && *out.xs.last().unwrap() >= dhi + m - 1e-9);
         out.dedupe();
         out.assert_convex();
-        out
     }
 
     /// Adds the service cost `p ↦ Σ_i |p − v_i|` of a request batch.
     ///
     /// The result's breakpoints are the union of the current breakpoints
     /// and the requests that fall inside the domain (requests outside add
-    /// a linear — not kinked — contribution there).
+    /// a linear — not kinked — contribution there). Requests must be
+    /// finite.
+    ///
+    /// Allocates the result; the line DP calls
+    /// `add_service_into` with reused buffers instead.
     pub fn add_service(&self, requests: &[f64]) -> ConvexPwl {
-        if requests.is_empty() {
-            return self.clone();
-        }
-        let mut vs: Vec<f64> = requests.to_vec();
-        vs.sort_by(f64::total_cmp);
-        // Prefix sums for O(log r) service evaluation.
-        let mut prefix = Vec::with_capacity(vs.len() + 1);
-        prefix.push(0.0);
-        for v in &vs {
-            prefix.push(prefix.last().unwrap() + v);
-        }
-        let total: f64 = *prefix.last().unwrap();
-        let service = |p: f64| -> f64 {
-            // #requests ≤ p
-            let k = vs.partition_point(|v| *v <= p);
-            let below = prefix[k];
-            let above = total - below;
-            p * k as f64 - below + (above - p * (vs.len() - k) as f64)
-        };
-
-        let (dlo, dhi) = self.domain();
-        // Merged breakpoint set: existing xs plus in-domain requests.
-        let mut merged: Vec<f64> = self.xs.clone();
-        merged.extend(vs.iter().copied().filter(|v| *v > dlo && *v < dhi));
-        merged.sort_by(f64::total_cmp);
-        merged.dedup_by(|a, b| *a == *b);
-
-        let ys = merged.iter().map(|&x| self.eval(x) + service(x)).collect();
-        let mut out = ConvexPwl { xs: merged, ys };
-        out.dedupe();
-        out.assert_convex();
+        let mut sorted = requests.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let mut out = ConvexPwl::with_capacity(self.len() + sorted.len());
+        self.add_service_into(&sorted, &mut out);
         out
     }
 
-    /// Canonicalizes the representation: merges breakpoints with nearly
-    /// identical abscissas (whose secant slopes would be numerical
+    /// [`ConvexPwl::add_service`] of a batch already sorted by
+    /// [`f64::total_cmp`], written into `out`, whose previous contents are
+    /// discarded and whose allocation is reused.
+    ///
+    /// One merge walk over the breakpoints and the in-domain requests in
+    /// `total_cmp` order, dropping an abscissa equal (`==`) to the last
+    /// one kept. A breakpoint keeps its value; a request between two
+    /// breakpoints takes [`ConvexPwl::eval`]'s interpolation.
+    pub(crate) fn add_service_into(&self, sorted: &[f64], out: &mut ConvexPwl) {
+        debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        if sorted.is_empty() {
+            out.xs.clone_from(&self.xs);
+            out.ys.clone_from(&self.ys);
+            return;
+        }
+        let (xs, ys) = (&self.xs[..], &self.ys[..]);
+        let (dlo, dhi) = self.domain();
+        let mut service = ServiceSum::new(sorted);
+        out.clear();
+        out.xs.reserve(xs.len() + sorted.len());
+        out.ys.reserve(xs.len() + sorted.len());
+        let mut j = 0;
+        for v in sorted.iter().filter(|v| **v > dlo && **v < dhi) {
+            // Breakpoints up to v in total order; one equal to v goes
+            // first, so v is then dropped as a duplicate.
+            let end = j + xs[j..].partition_point(|x| x.total_cmp(v).is_le());
+            service.extend(out, &xs[j..end], &ys[j..end]);
+            j = end;
+            if out.xs.last() != Some(v) {
+                // dlo < v < dhi and xs[j−1] < v < xs[j] in total order,
+                // so 1 ≤ j ≤ len − 1: `eval`'s interpolation branch.
+                let (x0, x1) = (xs[j - 1], xs[j]);
+                let (y0, y1) = (ys[j - 1], ys[j]);
+                let fv = y0 + (y1 - y0) * (v - x0) / (x1 - x0);
+                service.extend(out, std::slice::from_ref(v), &[fv]);
+            }
+        }
+        service.extend(out, &xs[j..], &ys[j..]);
+        out.dedupe();
+        out.assert_convex();
+    }
+
+    /// Canonicalizes the representation in place: merges breakpoints with
+    /// nearly identical abscissas (whose secant slopes would be numerical
     /// garbage), then removes interior breakpoints collinear with their
     /// neighbours. Keeps the representation small and well-conditioned
     /// across thousands of DP steps.
     fn dedupe(&mut self) {
+        let (xs, ys) = (&mut self.xs, &mut self.ys);
         // Pass 1: merge near-duplicate abscissas. Such pairs arise when a
         // request lands within float-epsilon of an existing breakpoint or
         // when transform connectors collide with shifted tail points; the
         // merged point takes the smaller value (the functions are pointwise
-        // minima, so this errs by at most slope·1e-9 downward).
-        if self.xs.len() >= 2 {
-            let mut xs = Vec::with_capacity(self.xs.len());
-            let mut ys = Vec::with_capacity(self.ys.len());
-            xs.push(self.xs[0]);
-            ys.push(self.ys[0]);
-            for i in 1..self.xs.len() {
-                let last = *xs.last().unwrap();
-                let x = self.xs[i];
-                let y = self.ys[i];
-                if x - last <= 1e-9 * (1.0 + x.abs().max(last.abs())) {
+        // minima, so this errs by at most slope·1e-9 downward). Points
+        // `..w` are kept; `w ≤ i` keeps every unread point intact.
+        let n = xs.len();
+        let near = |last: f64, x: f64| x - last <= 1e-9 * (1.0 + x.abs().max(last.abs()));
+        // Points before the first near-duplicate pair stay where they are.
+        if let Some(p) = xs.windows(2).position(|w| near(w[0], w[1])) {
+            let mut w = p + 1;
+            for i in p + 1..n {
+                let (x, y) = (xs[i], ys[i]);
+                if near(xs[w - 1], x) {
                     // Keep the right abscissa when merging the final point
                     // so the domain's upper end is preserved.
-                    if i == self.xs.len() - 1 {
-                        *xs.last_mut().unwrap() = x;
+                    if i == n - 1 {
+                        xs[w - 1] = x;
                     }
-                    let ly = ys.last_mut().unwrap();
-                    if y < *ly {
-                        *ly = y;
+                    if y < ys[w - 1] {
+                        ys[w - 1] = y;
                     }
                 } else {
-                    xs.push(x);
-                    ys.push(y);
+                    xs[w] = x;
+                    ys[w] = y;
+                    w += 1;
                 }
             }
-            self.xs = xs;
-            self.ys = ys;
+            xs.truncate(w);
+            ys.truncate(w);
         }
-        if self.xs.len() <= 2 {
+        // Pass 2: drop interior points whose secant slopes to the last kept
+        // point and to the next point agree. When point i−1 was kept, the
+        // slope into i is the previous iteration's `s12`, bit for bit, so
+        // only a dropped point costs a second division.
+        let n = xs.len();
+        if n <= 2 {
             return;
         }
-        let mut keep_xs = Vec::with_capacity(self.xs.len());
-        let mut keep_ys = Vec::with_capacity(self.ys.len());
-        keep_xs.push(self.xs[0]);
-        keep_ys.push(self.ys[0]);
-        for i in 1..self.xs.len() - 1 {
-            let (x0, y0) = (*keep_xs.last().unwrap(), *keep_ys.last().unwrap());
-            let (x1, y1) = (self.xs[i], self.ys[i]);
-            let (x2, y2) = (self.xs[i + 1], self.ys[i + 1]);
-            let s01 = (y1 - y0) / (x1 - x0);
+        let mut w = 1;
+        let mut s01 = (ys[1] - ys[0]) / (xs[1] - xs[0]);
+        for i in 1..n - 1 {
+            let (x0, y0) = (xs[w - 1], ys[w - 1]);
+            let (x1, y1) = (xs[i], ys[i]);
+            let (x2, y2) = (xs[i + 1], ys[i + 1]);
             let s12 = (y2 - y1) / (x2 - x1);
             let scale = 1.0 + s01.abs().max(s12.abs());
             if (s12 - s01).abs() > 1e-12 * scale {
-                keep_xs.push(x1);
-                keep_ys.push(y1);
+                xs[w] = x1;
+                ys[w] = y1;
+                w += 1;
+                s01 = s12;
+            } else {
+                s01 = (y2 - y0) / (x2 - x0);
             }
         }
-        keep_xs.push(*self.xs.last().unwrap());
-        keep_ys.push(*self.ys.last().unwrap());
-        self.xs = keep_xs;
-        self.ys = keep_ys;
+        xs[w] = xs[n - 1];
+        ys[w] = ys[n - 1];
+        xs.truncate(w + 1);
+        ys.truncate(w + 1);
     }
 
     /// Debug-build convexity audit on the hot DP path.
@@ -344,8 +382,264 @@ impl ConvexPwl {
 }
 
 #[cfg(test)]
+impl ConvexPwl {
+    /// The bit patterns of every sample, for bit-parity assertions.
+    pub(crate) fn bits(&self) -> Vec<(u64, u64)> {
+        let xs = self.xs.iter().map(|x| x.to_bits());
+        xs.zip(self.ys.iter().map(|y| y.to_bits())).collect()
+    }
+}
+
+/// The service cost `p ↦ Σ_i |p − v_i|` of a sorted batch, priced along
+/// increasing abscissas from a running count and prefix sum of the
+/// requests `≤ p`.
+struct ServiceSum<'a> {
+    sorted: &'a [f64],
+    total: f64,
+    /// Requests `≤` the last abscissa priced, and their sum.
+    k: usize,
+    below: f64,
+}
+
+impl<'a> ServiceSum<'a> {
+    fn new(sorted: &'a [f64]) -> Self {
+        ServiceSum {
+            sorted,
+            total: sorted.iter().fold(0.0, |acc, v| acc + v),
+            k: 0,
+            below: 0.0,
+        }
+    }
+
+    /// Appends `(x, y + service(x))` for the increasing abscissas `xs`
+    /// (which must not lie below the last one priced), dropping a first
+    /// `x` equal to the last abscissa already in `out`.
+    fn extend(&mut self, out: &mut ConvexPwl, mut xs: &[f64], mut ys: &[f64]) {
+        if !xs.is_empty() && xs.first() == out.xs.last() {
+            (xs, ys) = (&xs[1..], &ys[1..]);
+        }
+        let r = self.sorted.len();
+        while let Some(&x0) = xs.first() {
+            while self.k < r && self.sorted[self.k] <= x0 {
+                self.below += self.sorted[self.k];
+                self.k += 1;
+            }
+            // The run of abscissas below the next request shares the count.
+            let run = match self.sorted.get(self.k) {
+                Some(v) => xs.partition_point(|x| x < v),
+                None => xs.len(),
+            };
+            let (below, above) = (self.below, self.total - self.below);
+            let (k, rest) = (self.k as f64, (r - self.k) as f64);
+            out.xs.extend_from_slice(&xs[..run]);
+            out.ys.extend(
+                xs[..run]
+                    .iter()
+                    .zip(&ys[..run])
+                    .map(|(&x, &y)| y + (x * k - below + (above - x * rest))),
+            );
+            (xs, ys) = (&xs[run..], &ys[run..]);
+        }
+    }
+}
+
+/// The first index in `lo..hi` at which `pred` is false, for a `pred` that
+/// is true on a prefix of the range and false after it; `hi` when it is
+/// true throughout.
+fn first_false(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Direct forms of the two operations: a fresh function per call, linear
+/// scans for `a` and `b`, and for service addition a sort of all merged
+/// abscissas with a binary-searched [`ConvexPwl::eval`] per breakpoint.
+/// The bit-parity reference of [`ConvexPwl::move_transform_into`] and
+/// [`ConvexPwl::add_service_into`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::ConvexPwl;
+
+    /// The move transform `h(p) = min_{|p−q| ≤ m} f(q) + D·|p−q|` described
+    /// in the module docs. `m > 0`, `d ≥ 0`.
+    pub(crate) fn move_transform(f: &ConvexPwl, d: f64, m: f64) -> ConvexPwl {
+        assert!(m > 0.0, "movement limit must be positive");
+        assert!(d >= 0.0, "movement weight must be non-negative");
+        let n = f.xs.len();
+        let (dlo, dhi) = f.domain();
+
+        // Locate a: the leftmost point where the right-slope is ≥ −D, and
+        // b: the rightmost point where the left-slope is ≤ D. Slopes of
+        // segment i (between breakpoints i and i+1).
+        let slope = |i: usize| (f.ys[i + 1] - f.ys[i]) / (f.xs[i + 1] - f.xs[i]);
+        // index of first breakpoint from which slopes are ≥ −D
+        let mut ia = 0;
+        while ia + 1 < n && slope(ia) < -d {
+            ia += 1;
+        }
+        // index of last breakpoint up to which slopes are ≤ D
+        let mut ib = n - 1;
+        while ib > 0 && slope(ib - 1) > d {
+            ib -= 1;
+        }
+        // Convexity guarantees ia ≤ ib.
+        debug_assert!(ia <= ib);
+        let a = f.xs[ia];
+        let b = f.xs[ib];
+        let fa = f.ys[ia];
+        let fb = f.ys[ib];
+
+        let mut xs = Vec::with_capacity(n + 4);
+        let mut ys = Vec::with_capacity(n + 4);
+
+        // Steep left tail (slopes < −D): original breakpoints shifted left
+        // by m, lifted by D·m — for p < a − m the constrained optimum is a
+        // full-budget move to q = p + m.
+        for i in 0..ia {
+            xs.push(f.xs[i] - m);
+            ys.push(f.ys[i] + d * m);
+        }
+        // Slope −D connector on [a − m, a].
+        xs.push(a - m);
+        ys.push(fa + d * m);
+        // The untouched middle [a, b] (slopes within [−D, D]): stay put.
+        for i in ia..=ib {
+            // Avoid duplicating `a` when it already equals the connector
+            // endpoint — cannot happen since m > 0, so a − m < a strictly.
+            xs.push(f.xs[i]);
+            ys.push(f.ys[i]);
+        }
+        // Slope +D connector on [b, b + m].
+        xs.push(b + m);
+        ys.push(fb + d * m);
+        // Steep right tail shifted right by m.
+        for i in ib + 1..n {
+            xs.push(f.xs[i] + m);
+            ys.push(f.ys[i] + d * m);
+        }
+
+        debug_assert!(xs[0] <= dlo - m + 1e-9 && *xs.last().unwrap() >= dhi + m - 1e-9);
+        let mut out = ConvexPwl { xs, ys };
+        dedupe(&mut out);
+        out.assert_convex();
+        out
+    }
+
+    /// Adds the service cost `p ↦ Σ_i |p − v_i|` of a request batch.
+    ///
+    /// The result's breakpoints are the union of the current breakpoints
+    /// and the requests that fall inside the domain (requests outside add
+    /// a linear — not kinked — contribution there).
+    pub(crate) fn add_service(f: &ConvexPwl, requests: &[f64]) -> ConvexPwl {
+        if requests.is_empty() {
+            return f.clone();
+        }
+        let mut vs: Vec<f64> = requests.to_vec();
+        vs.sort_by(f64::total_cmp);
+        // Prefix sums for O(log r) service evaluation.
+        let mut prefix = Vec::with_capacity(vs.len() + 1);
+        prefix.push(0.0);
+        for v in &vs {
+            prefix.push(prefix.last().unwrap() + v);
+        }
+        let total: f64 = *prefix.last().unwrap();
+        let service = |p: f64| -> f64 {
+            // #requests ≤ p
+            let k = vs.partition_point(|v| *v <= p);
+            let below = prefix[k];
+            let above = total - below;
+            p * k as f64 - below + (above - p * (vs.len() - k) as f64)
+        };
+
+        let (dlo, dhi) = f.domain();
+        // Merged breakpoint set: existing xs plus in-domain requests.
+        let mut merged: Vec<f64> = f.xs.clone();
+        merged.extend(vs.iter().copied().filter(|v| *v > dlo && *v < dhi));
+        merged.sort_by(f64::total_cmp);
+        merged.dedup_by(|a, b| *a == *b);
+
+        let ys = merged.iter().map(|&x| f.eval(x) + service(x)).collect();
+        let mut out = ConvexPwl { xs: merged, ys };
+        dedupe(&mut out);
+        out.assert_convex();
+        out
+    }
+
+    /// Canonicalizes the representation: merges breakpoints with nearly
+    /// identical abscissas (whose secant slopes would be numerical
+    /// garbage), then removes interior breakpoints collinear with their
+    /// neighbours. Keeps the representation small and well-conditioned
+    /// across thousands of DP steps.
+    pub(crate) fn dedupe(f: &mut ConvexPwl) {
+        // Pass 1: merge near-duplicate abscissas. Such pairs arise when a
+        // request lands within float-epsilon of an existing breakpoint or
+        // when transform connectors collide with shifted tail points; the
+        // merged point takes the smaller value (the functions are pointwise
+        // minima, so this errs by at most slope·1e-9 downward).
+        if f.xs.len() >= 2 {
+            let mut xs = Vec::with_capacity(f.xs.len());
+            let mut ys = Vec::with_capacity(f.ys.len());
+            xs.push(f.xs[0]);
+            ys.push(f.ys[0]);
+            for i in 1..f.xs.len() {
+                let last = *xs.last().unwrap();
+                let x = f.xs[i];
+                let y = f.ys[i];
+                if x - last <= 1e-9 * (1.0 + x.abs().max(last.abs())) {
+                    // Keep the right abscissa when merging the final point
+                    // so the domain's upper end is preserved.
+                    if i == f.xs.len() - 1 {
+                        *xs.last_mut().unwrap() = x;
+                    }
+                    let ly = ys.last_mut().unwrap();
+                    if y < *ly {
+                        *ly = y;
+                    }
+                } else {
+                    xs.push(x);
+                    ys.push(y);
+                }
+            }
+            f.xs = xs;
+            f.ys = ys;
+        }
+        if f.xs.len() <= 2 {
+            return;
+        }
+        let mut keep_xs = Vec::with_capacity(f.xs.len());
+        let mut keep_ys = Vec::with_capacity(f.ys.len());
+        keep_xs.push(f.xs[0]);
+        keep_ys.push(f.ys[0]);
+        for i in 1..f.xs.len() - 1 {
+            let (x0, y0) = (*keep_xs.last().unwrap(), *keep_ys.last().unwrap());
+            let (x1, y1) = (f.xs[i], f.ys[i]);
+            let (x2, y2) = (f.xs[i + 1], f.ys[i + 1]);
+            let s01 = (y1 - y0) / (x1 - x0);
+            let s12 = (y2 - y1) / (x2 - x1);
+            let scale = 1.0 + s01.abs().max(s12.abs());
+            if (s12 - s01).abs() > 1e-12 * scale {
+                keep_xs.push(x1);
+                keep_ys.push(y1);
+            }
+        }
+        keep_xs.push(*f.xs.last().unwrap());
+        keep_ys.push(*f.ys.last().unwrap());
+        f.xs = keep_xs;
+        f.ys = keep_ys;
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Brute-force reference for the move transform.
     fn brute_move(f: &ConvexPwl, d: f64, m: f64, p: f64, grid: usize) -> f64 {
@@ -510,6 +804,23 @@ mod tests {
     }
 
     #[test]
+    fn dedupe_tests_collinearity_against_the_last_kept_point() {
+        // Slopes 1, 1 + 8e-13, 1 − 1.4e-12: point 1 is collinear within
+        // the 1e-12 tolerance and goes. Point 2 is then tested against the
+        // slope from point 0 (1 + 4e-13, within tolerance: it goes too),
+        // not against the dropped point's outgoing slope (1 + 8e-13,
+        // outside it).
+        let xs = vec![0.0, 1.0, 2.0, 3.0];
+        let ys = vec![0.0, 1.0, 2.0 + 8e-13, 3.0 - 6e-13];
+        let mut f = ConvexPwl::from_samples(xs, ys);
+        let mut want = f.clone();
+        f.dedupe();
+        oracle::dedupe(&mut want);
+        assert_eq!(f.bits(), want.bits());
+        assert_eq!(f.breakpoints(), &[0.0, 3.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "strictly increasing")]
     fn from_samples_rejects_unsorted() {
         let _ = ConvexPwl::from_samples(vec![1.0, 0.0], vec![0.0, 0.0]);
@@ -533,5 +844,114 @@ mod tests {
         assert!((hi - 50.0).abs() < 1e-9);
         // Convexity asserted internally; evaluate a few points for sanity.
         assert!(f.eval(0.0).is_finite());
+    }
+
+    /// Strategy: a convex PWL from gaps and nondecreasing slopes, with
+    /// breakpoint `zero % n` moved to `0.0` (`zero < n`) or `−0.0`
+    /// (`n ≤ zero < 2n`) by a shift, or left alone.
+    fn arb_pwl() -> impl Strategy<Value = ConvexPwl> {
+        (
+            prop::collection::vec(0.05f64..3.0, 0..10),
+            prop::collection::vec(0.0f64..4.0, 10),
+            -10.0f64..10.0,
+            -20.0f64..2.0,
+            -5.0f64..5.0,
+            0usize..30,
+        )
+            .prop_map(|(gaps, slope_incs, x0, s0, y0, zero)| {
+                let n = gaps.len() + 1;
+                let mut xs = vec![x0];
+                for g in &gaps {
+                    xs.push(xs.last().unwrap() + g);
+                }
+                if zero < 2 * n {
+                    let shift = xs[zero % n];
+                    xs.iter_mut().for_each(|x| *x -= shift);
+                    xs[zero % n] = if zero < n { 0.0 } else { -0.0 };
+                }
+                let mut ys = vec![y0];
+                let mut slope = s0;
+                for i in 0..n - 1 {
+                    ys.push(ys[i] + slope * (xs[i + 1] - xs[i]));
+                    slope += slope_incs[i];
+                }
+                ConvexPwl::from_samples(xs, ys)
+            })
+    }
+
+    /// A request batch for `f` from `(kind, index, raw)` codes: free
+    /// values, breakpoints, segment midpoints, the domain ends and points
+    /// beyond them, `±0.0` and duplicates.
+    fn batch(f: &ConvexPwl, codes: &[(usize, usize, f64)]) -> Vec<f64> {
+        let (lo, hi) = f.domain();
+        let n = f.len();
+        let mut out: Vec<f64> = Vec::new();
+        for &(kind, idx, raw) in codes {
+            let v = match kind {
+                0 => raw,
+                1 => f.xs[idx % n],
+                2 if n > 1 => (f.xs[idx % (n - 1)] + f.xs[idx % (n - 1) + 1]) / 2.0,
+                3 => lo,
+                4 => hi,
+                5 => lo - raw.abs(),
+                6 => hi + raw.abs(),
+                7 => 0.0,
+                8 => -0.0,
+                _ => out.last().copied().unwrap_or(raw),
+            };
+            out.push(v);
+        }
+        out
+    }
+
+    fn arb_codes() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+        prop::collection::vec((0usize..10, 0usize..16, -15.0f64..15.0), 0..8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ops_are_bit_equal_to_the_oracle(
+            f in arb_pwl(),
+            d in 0.0f64..6.0,
+            m in 0.05f64..3.0,
+            codes in arb_codes(),
+            garbage in arb_pwl(),
+        ) {
+            let reqs = batch(&f, &codes);
+            let mut sorted = reqs.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            // The `_into` forms must not depend on what `out` held before.
+            let mut out = garbage.clone();
+            f.add_service_into(&sorted, &mut out);
+            prop_assert_eq!(out.bits(), oracle::add_service(&f, &reqs).bits());
+            prop_assert_eq!(f.add_service(&reqs).bits(), out.bits());
+            let mut out = garbage;
+            f.move_transform_into(d, m, &mut out);
+            prop_assert_eq!(out.bits(), oracle::move_transform(&f, d, m).bits());
+            prop_assert_eq!(f.move_transform(d, m).bits(), out.bits());
+        }
+
+        #[test]
+        fn dp_chains_are_bit_equal_to_the_oracle(
+            f in arb_pwl(),
+            d in 0.0f64..6.0,
+            m in 0.05f64..3.0,
+            steps in prop::collection::vec(arb_codes(), 1..24),
+        ) {
+            // Chained steps grow the ≈ ±D connector slopes and shifted
+            // tails the crossing searches bisect over.
+            let (mut want, mut got, mut spare) = (f.clone(), f.clone(), f);
+            for (t, codes) in steps.iter().enumerate() {
+                let reqs = batch(&want, codes);
+                let mut sorted = reqs.clone();
+                sorted.sort_unstable_by(f64::total_cmp);
+                want = oracle::add_service(&oracle::move_transform(&want, d, m), &reqs);
+                got.move_transform_into(d, m, &mut spare);
+                spare.add_service_into(&sorted, &mut got);
+                prop_assert_eq!(got.bits(), want.bits(), "step {}", t);
+            }
+        }
     }
 }

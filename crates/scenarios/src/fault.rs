@@ -44,19 +44,6 @@ pub enum FaultKind {
     Panic,
 }
 
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            FaultKind::ShortWrite => "short write",
-            FaultKind::Interrupted => "interrupted",
-            FaultKind::BitFlip => "bit flip",
-            FaultKind::Truncate => "truncate",
-            FaultKind::Panic => "panic",
-        };
-        f.write_str(name)
-    }
-}
-
 /// A planned fault: `kind` fires at 0-based operation index `at`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {

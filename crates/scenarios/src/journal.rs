@@ -326,10 +326,6 @@ pub struct JournalRecovery<const N: usize> {
     /// parse — the loud torn-write report. `None` means the journal ended
     /// exactly on a record boundary.
     pub torn_tail: Option<String>,
-    /// Bytes of the journal covered by the header and every valid record
-    /// — the clean boundary a re-opened journal truncates to before its
-    /// next append (see [`DurableJournal::reopen`]).
-    pub clean_len: usize,
 }
 
 fn take<'a>(bytes: &'a [u8], offset: &mut usize, n: usize) -> Option<&'a [u8]> {
@@ -518,7 +514,6 @@ pub fn recover_journal<const N: usize>(bytes: &[u8]) -> Result<JournalRecovery<N
             checkpoint,
             warm_state,
             torn_tail,
-            clean_len: offset,
         }),
         None => Err(match torn_tail {
             Some(message) => corrupt("first record", message),
@@ -647,34 +642,6 @@ impl<const N: usize> DurableJournal<N> {
     pub fn recover(path: impl AsRef<Path>) -> Result<JournalRecovery<N>, JournalError> {
         let bytes = fs::read(path)?;
         recover_journal(&bytes)
-    }
-
-    /// Re-opens an existing journal for further appends after a crash:
-    /// recovers the newest complete generation, **truncates any torn
-    /// tail** so the next append extends a clean record boundary (a torn
-    /// record left in place would make every later append unreachable to
-    /// [`recover_journal`]'s forward scan), and returns the open handle
-    /// positioned at generation `recovery.generation + 1` together with
-    /// the recovery itself.
-    pub fn reopen(path: impl AsRef<Path>) -> Result<(Self, JournalRecovery<N>), JournalError> {
-        let path = path.as_ref().to_path_buf();
-        let bytes = fs::read(&path)?;
-        let recovery = recover_journal::<N>(&bytes)?;
-        if recovery.clean_len < bytes.len() {
-            let file = OpenOptions::new().write(true).open(&path)?;
-            file.set_len(recovery.clean_len as u64)?;
-            file.sync_data()?;
-        }
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok((
-            DurableJournal {
-                path,
-                file,
-                next_generation: recovery.generation + 1,
-                obs_last_step: Some(recovery.checkpoint.step as u64),
-            },
-            recovery,
-        ))
     }
 }
 

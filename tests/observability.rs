@@ -7,9 +7,9 @@
 //!   decision would break this immediately.
 //! * **RatioProbe bounds are certified** — the live lower bound on the
 //!   offline optimum is monotone nondecreasing step over step, matches
-//!   the exact line solver on 1-D prefixes, and in 2-D never exceeds a
-//!   certified upper bound on OPT (the grid DP restricts OPT's
-//!   positions, so its value is ≥ OPT ≥ probe bound).
+//!   the exact line solver on 1-D prefixes, and in 2-D stays under the
+//!   grid DP's optimum (an independent cross-check, not a certified
+//!   bound: the grid relaxes the movement limit, see `offline::grid`).
 //!
 //! The registry is process-global, so tests that toggle it serialize on
 //! a lock and compare *results*, never absolute counter values.
